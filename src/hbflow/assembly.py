@@ -183,6 +183,8 @@ def assemble_load_vector(
             raise AssemblyError(f"f returned shape {fv.shape}, expected ({mesh.num_vertices},)")
     else:
         fv = np.full(mesh.num_vertices, float(f))
+    if not np.all(np.isfinite(fv)):
+        raise AssemblyError("f must be finite at every vertex")
     lumped = np.zeros(mesh.num_vertices)
     third = mesh.areas / 3.0
     for k in range(3):

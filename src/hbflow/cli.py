@@ -26,8 +26,8 @@ import numpy as np
 from .assembly import build_discrete_gradient, expand_dirichlet, gradient_magnitudes
 from .export import write_history_csv, write_vtk
 from .linalg import LinearSolveError
-from .linesearch import LineSearchConfig
-from .mesh import Mesh, MeshError, build_unit_disk_mesh, build_unit_square_mesh
+from .linesearch import LineSearchConfig, LineSearchError
+from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
 from .solver import SolveOutcome, SolverConfig, continuation_solve, solve, wp_seminorm
 
 
@@ -150,10 +150,7 @@ def build_mesh(manifest: RunManifest) -> Mesh:
 
 
 def solver_config(manifest: RunManifest) -> SolverConfig:
-    if manifest.p <= 1.0:
-        raise ConfigError(f"p must be > 1, got {manifest.p}")
-    if manifest.g <= 0.0 or manifest.gamma <= 0.0 or manifest.epsilon <= 0.0:
-        raise ConfigError("g, gamma, epsilon must be positive")
+    """The manifest's solver settings; SolverConfig rejects invalid values."""
     return SolverConfig(
         p=manifest.p, g=manifest.g, gamma=manifest.gamma, epsilon=manifest.epsilon,
         tol=manifest.tol, max_iters=manifest.max_iters,
@@ -290,7 +287,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
         try:
             code, summary = run_single(sub)
             rows.append((point, sub, summary, None))
-        except (ConfigError, LinearSolveError, MeshError) as exc:
+        except (ValueError, LinearSolveError, LineSearchError) as exc:
             rows.append((point, sub, None, str(exc)))
 
     lines = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"]
@@ -358,19 +355,13 @@ def main(argv: list[str] | None = None) -> int:
                   f"J={summary['final_objective']:.6g} out={manifest.out}")
             return code
         return run_sweep(manifest, args)
-    except ConfigError as exc:
+    except ValueError as exc:           # ConfigError, MeshError, AssemblyError, bad parameters
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
-    except MeshError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except LinearSolveError as exc:
+    except (LinearSolveError, LineSearchError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,10 @@ class HuberParams:
     epsilon: float = 1e-6
 
     def __post_init__(self):
+        for name in ("p", "g", "gamma", "epsilon"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.p <= 1.0:
             raise ValueError(f"p must be > 1, got {self.p}")
         if self.g <= 0.0:

@@ -1,9 +1,11 @@
-"""Sparse SPD solves and the few vector kernels the solver loop needs.
+"""Sparse SPD solves: Jacobi-preconditioned CG or a sparse LU factor.
 
 The default linear solver is conjugate gradients with a Jacobi (diagonal)
-preconditioner at a tight relative tolerance; a sparse-LU direct fallback
-with the same interface exists for cross-checks. Every solve verifies its
-own residual with an independent matvec before returning.
+preconditioner at a tight relative tolerance. The direct path solves with a
+sparse LU factor; callers whose matrix does not change, such as the
+shear-thickening descent loop with its fixed Laplacian, factor it once with
+:func:`factorize_spd` and pass the factor to every solve. Every solve
+verifies its own residual with an independent matvec before returning.
 """
 
 from __future__ import annotations
@@ -32,26 +34,9 @@ class LinearSolveError(RuntimeError):
         self.report = report
 
 
-def matvec(A: sp.spmatrix, v: np.ndarray) -> np.ndarray:
-    if A.shape[1] != v.shape[0]:
-        raise ValueError(f"shape mismatch: {A.shape} @ {v.shape}")
-    return A @ v
-
-
-def dot(x: np.ndarray, y: np.ndarray) -> float:
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.dot(x, y))
-
-
-def norm2(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
-
-
-def axpy(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return a * x + y
+def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:
+    """Sparse LU factor of the SPD matrix A, for repeated direct solves."""
+    return spla.splu(A.tocsc())
 
 
 def solve_spd(
@@ -60,6 +45,7 @@ def solve_spd(
     tol: float = 1e-10,
     max_iter: int | None = None,
     method: str = "pcg",
+    factor: spla.SuperLU | None = None,
 ) -> tuple[np.ndarray, SpdSolveReport]:
     """Solve A x = b for symmetric positive definite sparse A.
 
@@ -73,6 +59,9 @@ def solve_spd(
         Iteration cap for the iterative path; defaults to 10 n.
     method : {"pcg", "direct"}
         Jacobi-preconditioned conjugate gradients, or sparse LU.
+    factor : SuperLU, optional
+        ``factorize_spd(A)`` computed earlier, reused by the direct path
+        instead of factoring A again. Only valid with ``method="direct"``.
 
     Returns
     -------
@@ -88,6 +77,9 @@ def solve_spd(
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
+    if factor is not None and (method != "direct" or factor.shape != A.shape):
+        raise ValueError(f"a factor of shape {factor.shape} does not fit a {method!r} "
+                         f"solve with A {A.shape}")
     t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -97,7 +89,7 @@ def solve_spd(
         max_iter = 10 * n
 
     if method == "direct":
-        x = spla.splu(A.tocsc()).solve(b)
+        x = (factor if factor is not None else factorize_spd(A)).solve(b)
         iterations = 0
     elif method == "pcg":
         diag = A.diagonal()

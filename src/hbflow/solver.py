@@ -6,7 +6,11 @@ direction, where the preconditioner depends on the flow index:
 * shear-thinning (1 < p < 2): P_k is the stiffness matrix weighted by
   (epsilon + xi_k)^(p-2), reassembled every iteration;
 * shear-thickening (p >= 2, including the Bingham case p = 2): P_k is the
-  plain Laplacian stiffness matrix, assembled once per run.
+  plain Laplacian stiffness matrix, the H^1_0 Riesz map.
+
+The Laplacian does not depend on gamma or on the iterate. It is assembled,
+and for the direct linear method factored, once per run, or once per
+continuation ladder, and the Poisson start shares that matrix and factor.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -32,7 +37,7 @@ from .assembly import (
     weights_preconditioner,
 )
 from .huber import DualField, HuberParams, dual_field, evaluate_gradient, evaluate_objective
-from .linalg import solve_spd
+from .linalg import factorize_spd, solve_spd
 from .linesearch import LineSearchConfig, backtracking_search
 from .mesh import Mesh
 
@@ -54,6 +59,13 @@ class SolverConfig:
     max_iters: int = 100
     linesearch: LineSearchConfig = field(default_factory=LineSearchConfig)
     linear: LinearConfig = field(default_factory=LinearConfig)
+
+    def __post_init__(self):
+        self.huber_params()   # validates p, g, gamma and epsilon
+        if not (np.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
 
     def huber_params(self) -> HuberParams:
         return HuberParams(p=self.p, g=self.g, gamma=self.gamma, epsilon=self.epsilon)
@@ -96,20 +108,70 @@ class SolveOutcome:
         return self.history[-1].rel_residual if self.history else 0.0
 
 
+@dataclass
+class _Problem:
+    """What stays fixed over a run or a continuation ladder: mesh, discrete
+    gradient, load, linear solver settings, and, built on first use, the
+    Laplacian and its LU factor (direct method only)."""
+
+    mesh: Mesh
+    gradient: sp.csr_matrix
+    load: np.ndarray
+    linear: LinearConfig
+
+    @classmethod
+    def build(cls, mesh: Mesh, f, linear: LinearConfig) -> _Problem:
+        return cls(mesh, build_discrete_gradient(mesh), assemble_load_vector(mesh, f), linear)
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        return assemble_weighted_stiffness(
+            self.mesh, np.ones(self.mesh.num_triangles), gradient=self.gradient
+        )
+
+    @cached_property
+    def laplacian_factor(self):
+        return factorize_spd(self.laplacian) if self.linear.method == "direct" else None
+
+    def solve_linear(self, A: sp.spmatrix, b: np.ndarray, factor=None) -> np.ndarray:
+        lin = self.linear
+        x, _ = solve_spd(A, b, tol=lin.tol, max_iter=lin.max_iter, method=lin.method,
+                         factor=factor)
+        return x
+
+    def poisson_start(self) -> np.ndarray:
+        return self.solve_linear(self.laplacian, self.load, self.laplacian_factor)
+
+    def descent_direction(self, u: np.ndarray, params: HuberParams, grad: np.ndarray):
+        """w solving P_k w = -J'(u), and P_k.
+
+        For p >= 2, P_k is the cached Laplacian, solved with its cached
+        factor. For p < 2 it is the stiffness weighted by
+        (epsilon + xi)^(p-2) at u, reassembled (and, for the direct method,
+        factored) on every call.
+        """
+        if params.p >= 2.0:
+            P, factor = self.laplacian, self.laplacian_factor
+        else:
+            xi = gradient_magnitudes(self.gradient, u)
+            w = weights_preconditioner(xi, params.p, params.epsilon)
+            P, factor = assemble_weighted_stiffness(self.mesh, w, gradient=self.gradient), None
+        return self.solve_linear(P, -grad, factor), P
+
+
 def solve_poisson_init(
     mesh: Mesh, load: np.ndarray, linear: LinearConfig | None = None
 ) -> np.ndarray:
     """Initial iterate: the Poisson solution with the same load."""
-    lin = linear or LinearConfig()
-    A = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles))
-    u0, _ = solve_spd(A, load, tol=lin.tol, max_iter=lin.max_iter, method=lin.method)
-    return u0
+    problem = _Problem(mesh, build_discrete_gradient(mesh), load, linear or LinearConfig())
+    return problem.poisson_start()
 
 
-def _thinning_preconditioner(mesh, gradient, u, params) -> sp.csr_matrix:
-    xi = gradient_magnitudes(gradient, u)
-    w = weights_preconditioner(xi, params.p, params.epsilon)
-    return assemble_weighted_stiffness(mesh, w, gradient=gradient)
+def _direction(mesh, gradient, u, params, load, grad, linear) -> np.ndarray:
+    if grad is None:
+        grad = evaluate_gradient(mesh, gradient, u, params, load)
+    problem = _Problem(mesh, gradient, load, linear or LinearConfig())
+    return problem.descent_direction(u, params, grad)[0]
 
 
 def descent_direction_shear_thinning(
@@ -128,12 +190,7 @@ def descent_direction_shear_thinning(
     """
     if not 1.0 < params.p < 2.0:
         raise ValueError(f"shear-thinning branch needs 1 < p < 2, got p={params.p}")
-    if grad is None:
-        grad = evaluate_gradient(mesh, gradient, u, params, load)
-    P = _thinning_preconditioner(mesh, gradient, u, params)
-    lin = linear or LinearConfig()
-    w, _ = solve_spd(P, -grad, tol=lin.tol, max_iter=lin.max_iter, method=lin.method)
-    return w
+    return _direction(mesh, gradient, u, params, load, grad, linear)
 
 
 def descent_direction_shear_thickening(
@@ -144,24 +201,15 @@ def descent_direction_shear_thickening(
     load: np.ndarray,
     *,
     grad: np.ndarray | None = None,
-    stiffness: sp.spmatrix | None = None,
     linear: LinearConfig | None = None,
 ) -> np.ndarray:
     """Direction solving A w = -J'(u) with the plain stiffness matrix, p >= 2.
 
-    ``stiffness`` lets callers reuse the once-per-run Laplacian matrix.
+    ``grad`` lets callers that already evaluated J'(u) skip recomputing it.
     """
     if params.p < 2.0:
         raise ValueError(f"shear-thickening branch needs p >= 2, got p={params.p}")
-    if grad is None:
-        grad = evaluate_gradient(mesh, gradient, u, params, load)
-    if stiffness is None:
-        stiffness = assemble_weighted_stiffness(
-            mesh, np.ones(mesh.num_triangles), gradient=gradient
-        )
-    lin = linear or LinearConfig()
-    w, _ = solve_spd(stiffness, -grad, tol=lin.tol, max_iter=lin.max_iter, method=lin.method)
-    return w
+    return _direction(mesh, gradient, u, params, load, grad, linear)
 
 
 def solve(
@@ -169,6 +217,8 @@ def solve(
     config: SolverConfig,
     f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
     u0: np.ndarray | None = None,
+    *,
+    problem: _Problem | None = None,
 ) -> SolveOutcome:
     """Run the descent loop to the relative gradient-norm tolerance.
 
@@ -181,6 +231,10 @@ def solve(
     u0 : ndarray, optional
         Warm start; defaults to the Poisson solution. Continuation passes
         the previous stage's iterate here.
+    problem : optional
+        Internal: :func:`continuation_solve` passes the problem it prepared
+        from the same mesh, ``f`` and ``config.linear``, so that every
+        stage reuses one gradient, load, Laplacian and factor.
 
     Notes
     -----
@@ -190,21 +244,15 @@ def solve(
     continuation stage has its own normalizer.
     """
     params = config.huber_params()
-    G = build_discrete_gradient(mesh)
-    load = assemble_load_vector(mesh, f)
+    if problem is None:
+        problem = _Problem.build(mesh, f, config.linear)
+    G, load = problem.gradient, problem.load
     if u0 is None:
-        u = solve_poisson_init(mesh, load, config.linear)
+        u = problem.poisson_start()
     else:
         u = np.asarray(u0, dtype=np.float64).copy()
         if u.shape != load.shape:
             raise ValueError(f"u0 shape {u.shape} does not match {load.shape}")
-
-    thinning = config.p < 2.0
-    stiffness = None
-    if not thinning:
-        stiffness = assemble_weighted_stiffness(
-            mesh, np.ones(mesh.num_triangles), gradient=G
-        )
 
     grad = evaluate_gradient(mesh, G, u, params, load)
     grad0_norm = float(np.linalg.norm(grad))
@@ -220,12 +268,7 @@ def solve(
     failure = None
     j_curr = objective0
     for k in range(1, config.max_iters + 1):
-        if thinning:
-            P = _thinning_preconditioner(mesh, G, u, params)
-        else:
-            P = stiffness
-        w, _ = solve_spd(P, -grad, tol=config.linear.tol,
-                         max_iter=config.linear.max_iter, method=config.linear.method)
+        w, P = problem.descent_direction(u, params, grad)
         dphi0 = float(grad @ w)
         quad = float(w @ (P @ w))
         identity_err = abs(dphi0 + quad) / max(abs(dphi0), np.finfo(float).tiny)
@@ -269,16 +312,18 @@ def continuation_solve(
     ladder includes gamma_end when it is hit exactly). A stage that merely
     exhausts max_iters still seeds the next stage with its best iterate; only
     a stage that died outright (line-search failure) aborts the ladder,
-    returning the partial history.
+    returning the partial history. The gradient, load, Laplacian and its
+    factor do not depend on gamma and are built once for the whole ladder.
     """
     if gamma_start <= 0.0 or factor <= 1.0 or gamma_end < gamma_start:
         raise ValueError("need gamma_start > 0, factor > 1, gamma_end >= gamma_start")
+    problem = _Problem.build(mesh, f, config.linear)
     stages: list[tuple[float, SolveOutcome]] = []
     gamma = gamma_start
     u = None
     while True:
         stage_cfg = dataclasses.replace(config, gamma=gamma)
-        outcome = solve(mesh, stage_cfg, f, u0=u)
+        outcome = solve(mesh, stage_cfg, f, u0=u, problem=problem)
         stages.append((gamma, outcome))
         if outcome.failure_reason is not None:
             break

@@ -89,6 +89,22 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--p", "nan"),
+    ("--f", "nan"),
+    ("--gamma", "inf"),
+    ("--tol", "-1"),
+    ("--max-iters", "-5"),
+])
+def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
+    argv = ["run", "--domain", "square", "--n", "6", flag, value, "--out", str(tmp_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
+
+
 def run_args(out, extra=()):
     return ["run", "--domain", "square", "--n", "6", "--p", "1.5", "--g", "0.2",
             "--gamma", "50", "--out", str(out), *extra]

@@ -3,37 +3,11 @@ import pytest
 import scipy.sparse as sp
 
 from hbflow.assembly import assemble_weighted_stiffness
-from hbflow.linalg import (
-    LinearSolveError,
-    axpy,
-    dot,
-    matvec,
-    norm2,
-    solve_spd,
-)
+from hbflow.linalg import LinearSolveError, factorize_spd, solve_spd
 
 
 def poisson_matrix(mesh):
     return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]))
-
-
-def test_kernels():
-    A = sp.csr_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
-    v = np.array([1.0, -1.0])
-    assert np.allclose(matvec(A, v), [1.0, -2.0])
-    assert dot(v, np.array([3.0, 2.0])) == 1.0
-    assert norm2(np.array([3.0, 4.0])) == 5.0
-    assert np.allclose(axpy(2.0, v, np.array([0.0, 1.0])), [2.0, -1.0])
-
-
-def test_kernel_shape_checks():
-    A = sp.identity(3, format="csr")
-    with pytest.raises(ValueError):
-        matvec(A, np.zeros(4))
-    with pytest.raises(ValueError):
-        dot(np.zeros(3), np.zeros(4))
-    with pytest.raises(ValueError):
-        axpy(1.0, np.zeros(3), np.zeros(4))
 
 
 @pytest.mark.parametrize("method", ["pcg", "direct"])
@@ -65,6 +39,17 @@ def test_solve_methods_agree(square16, rng):
     assert np.allclose(x_it, x_lu, rtol=1e-8, atol=1e-12)
 
 
+def test_solve_with_prefactored_matrix_is_bit_identical(square16, rng):
+    A = poisson_matrix(square16)
+    factor = factorize_spd(A)
+    for _ in range(2):          # one factor serves any number of solves
+        b = rng.standard_normal(A.shape[0])
+        x_reused, report = solve_spd(A, b, tol=1e-12, method="direct", factor=factor)
+        x_fresh, _ = solve_spd(A, b, tol=1e-12, method="direct")
+        assert np.array_equal(x_reused, x_fresh)
+        assert report.rel_residual <= 1e-12
+
+
 def test_solve_rejects_bad_inputs(square4):
     A = poisson_matrix(square4)
     with pytest.raises(ValueError):
@@ -74,6 +59,11 @@ def test_solve_rejects_bad_inputs(square4):
     indefinite = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
     with pytest.raises(ValueError):
         solve_spd(indefinite, np.ones(2))
+    factor = factorize_spd(A)
+    with pytest.raises(ValueError):
+        solve_spd(A, np.ones(A.shape[0]), method="pcg", factor=factor)
+    with pytest.raises(ValueError):
+        solve_spd(sp.identity(2, format="csr"), np.ones(2), method="direct", factor=factor)
 
 
 def test_solve_starved_iterations_raise_with_report(square16, rng):

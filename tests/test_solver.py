@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import hbflow.linalg
 from hbflow.assembly import build_discrete_gradient, expand_dirichlet
 from hbflow.huber import HuberParams, evaluate_objective
 from hbflow.mesh import make_mesh
@@ -162,6 +163,50 @@ def test_continuation_validates_ladder(square4):
         continuation_solve(square4, cfg, 1.0, factor=1.0)
     with pytest.raises(ValueError):
         continuation_solve(square4, cfg, 1.0, gamma_start=100.0, gamma_end=10.0)
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts the sparse LU factorizations the solver performs."""
+    calls = []
+    real = hbflow.linalg.spla.splu
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(hbflow.linalg.spla, "splu", counting)
+    return calls
+
+
+DIRECT = LinearConfig(method="direct")
+
+
+def test_thickening_direct_solve_factors_the_laplacian_once(square16, splu_calls):
+    cfg = SolverConfig(p=4.0, g=0.2, gamma=100.0, max_iters=5, linear=DIRECT)
+    out = solve(square16, cfg, 3.0)
+    assert out.iterations >= 2
+    assert len(splu_calls) == 1      # the Poisson start and every iteration share it
+
+
+def test_continuation_ladder_factors_the_laplacian_once(square16, splu_calls):
+    cfg = SolverConfig(p=4.0, g=0.2, gamma=1000.0, max_iters=4, linear=DIRECT)
+    stages = continuation_solve(square16, cfg, 3.0, gamma_start=10.0, gamma_end=1000.0)
+    assert [gamma for gamma, _ in stages] == [10.0, 100.0, 1000.0]
+    assert len(splu_calls) == 1
+    # a stage run on its own, with its own factor, gives the same iterates
+    u = None
+    for gamma, outcome in stages:
+        alone = solve(square16, dataclasses.replace(cfg, gamma=gamma), 3.0, u0=u)
+        assert np.array_equal(alone.u, outcome.u)
+        u = outcome.u
+
+
+def test_thinning_direct_solve_refactors_every_iteration(square16, splu_calls):
+    cfg = SolverConfig(p=1.5, g=0.2, gamma=100.0, max_iters=4, linear=DIRECT)
+    out = solve(square16, cfg, 1.0)
+    assert out.iterations == 4
+    assert len(splu_calls) == 1 + out.iterations
 
 
 def test_wp_seminorm_single_triangle():
