@@ -39,7 +39,6 @@ from .mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
     make_mesh,
-    mesh_parameter,
 )
 from .solver import (
     IterationRecord,
@@ -47,8 +46,6 @@ from .solver import (
     SolveOutcome,
     SolverConfig,
     continuation_solve,
-    descent_direction_shear_thickening,
-    descent_direction_shear_thinning,
     lp_norm,
     solve,
     solve_poisson_init,
@@ -63,7 +60,6 @@ __all__ = [
     "build_unit_square_mesh",
     "build_unit_disk_mesh",
     "make_mesh",
-    "mesh_parameter",
     "build_discrete_gradient",
     "gradient_magnitudes",
     "weights_preconditioner",
@@ -94,8 +90,6 @@ __all__ = [
     "solve",
     "solve_poisson_init",
     "continuation_solve",
-    "descent_direction_shear_thinning",
-    "descent_direction_shear_thickening",
     "wp_seminorm",
     "lp_norm",
     "__version__",

@@ -228,12 +228,6 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     """Solve one manifest and write its outputs. Returns (exit_code, summary)."""
     mesh = build_mesh(manifest)
     config = solver_config(manifest)
-    try:
-        outdir = Path(manifest.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {manifest.out!r}: {exc}") from exc
-
     t0 = time.perf_counter()
     error = None
     # a LinearSolveError propagates: without a completed stage there is
@@ -249,7 +243,13 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     bad = [outcome for _, outcome in stages if not outcome.converged]
     if bad:
         error = bad[0].failure_reason or "iteration limit reached before tolerance"
-    summary = _write_outputs(Path(manifest.out), manifest, mesh, stages, wall, error)
+    # created only now, so a run the solver rejects leaves no directory behind
+    outdir = Path(manifest.out)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IOError(f"cannot create output directory {manifest.out!r}: {exc}") from exc
+    summary = _write_outputs(outdir, manifest, mesh, stages, wall, error)
     return (0 if not bad else 1), summary
 
 

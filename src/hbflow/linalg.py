@@ -72,7 +72,7 @@ def solve_spd(
     Raises
     ------
     LinearSolveError
-        If the verified residual still exceeds ``tol``.
+        If the verified residual still exceeds ``tol`` or is NaN.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
@@ -115,7 +115,7 @@ def solve_spd(
 
     rel = float(np.linalg.norm(A @ x - b)) / bnorm
     report = SpdSolveReport(method, iterations, rel, time.perf_counter() - t0)
-    if rel > tol:
+    if not rel <= tol:          # also catches a NaN residual
         raise LinearSolveError(
             f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})",
             report,

@@ -4,14 +4,14 @@ Only the sufficient-decrease (Armijo) condition is enforced:
 
     phi(alpha) <= phi(0) + sigma1 * alpha * phi'(0)
 
-The first trial is alpha = 1. On rejection, the next trial minimizes the
-quadratic interpolant through (phi(0), phi'(0), phi(1)); later trials
-minimize the cubic interpolant through phi(0), phi'(0) and the two most
-recent trials. Every model minimizer is clamped into
-[lower_factor, upper_factor] times the previous trial, so trial steps
-decrease strictly but never collapse too fast. The curvature (second
-Wolfe-Powell) condition can be evaluated as a diagnostic but is never used
-to reject a step.
+The first trial is always the unit step alpha = 1. On rejection, the next
+trial minimizes the quadratic interpolant through (phi(0), phi'(0), phi(1))
+(:func:`quadratic_step`); later trials minimize the cubic interpolant through
+phi(0), phi'(0) and the two most recent trials (:func:`cubic_step`). Every
+model minimizer is clamped into [0.1, 0.5] times the previous trial, so trial
+steps decrease strictly but never collapse too fast (Dennis & Schnabel,
+*Numerical Methods for Unconstrained Optimization and Nonlinear Equations*,
+1996, section 6.3.2). No curvature condition is evaluated.
 """
 
 from __future__ import annotations
@@ -29,20 +29,14 @@ class LineSearchError(RuntimeError):
 @dataclass(frozen=True)
 class LineSearchConfig:
     sigma1: float = 1e-4          # Armijo slope fraction, must be < 1/4 for the cubic
-    alpha0: float = 1.0           # first trial step
-    lower_factor: float = 0.1     # trial shrink safeguards
-    upper_factor: float = 0.5
     min_step: float = 1e-12       # give up below this
     max_backtracks: int = 30
-    sigma2: float = 0.9           # curvature fraction, diagnostic only
 
     def __post_init__(self):
         if not 0.0 < self.sigma1 < 0.25:
             raise ValueError(f"sigma1 must be in (0, 1/4), got {self.sigma1}")
-        if not 0.0 < self.lower_factor < self.upper_factor < 1.0:
-            raise ValueError("need 0 < lower_factor < upper_factor < 1")
-        if self.alpha0 <= 0.0 or self.min_step <= 0.0 or self.max_backtracks < 1:
-            raise ValueError("alpha0, min_step must be positive and max_backtracks >= 1")
+        if self.min_step <= 0.0 or self.max_backtracks < 1:
+            raise ValueError("min_step must be positive and max_backtracks >= 1")
 
 
 @dataclass
@@ -53,27 +47,18 @@ class LineSearchResult:
     backtracks: int               # rejected trials; what history CSVs report as ls_iters
     status: str                   # "accepted" | "step-too-small"
     trials: list = field(default_factory=list)   # every alpha tried, in order
-    curvature_ok: bool | None = None             # only set when dphi is supplied
-
-
-def _quadratic_minimizer_at(
-    phi0: float, dphi0: float, alpha_p: float, phi_p: float
-) -> float:
-    """Unclamped minimizer of the quadratic through (0, phi0), slope dphi0,
-    and (alpha_p, phi_p)."""
-    if np.isinf(phi_p):
-        return 0.0  # infinitely steep model, clamp will raise this to the floor
-    denom = phi_p - phi0 - dphi0 * alpha_p
-    if denom <= 0.0:
-        raise LineSearchError(
-            "quadratic model has no interior minimum; Armijo cannot have failed here"
-        )
-    return -dphi0 * alpha_p * alpha_p / (2.0 * denom)
 
 
 def _quadratic_minimizer(phi0: float, dphi0: float, phi1: float) -> float:
     """Unclamped minimizer of the quadratic through (0, phi0), slope dphi0, (1, phi1)."""
-    return _quadratic_minimizer_at(phi0, dphi0, 1.0, phi1)
+    if np.isinf(phi1):
+        return 0.0  # infinitely steep model, clamp will raise this to the floor
+    denom = phi1 - phi0 - dphi0
+    if denom <= 0.0:
+        raise LineSearchError(
+            "quadratic model has no interior minimum; Armijo cannot have failed here"
+        )
+    return -dphi0 / (2.0 * denom)
 
 
 def quadratic_step(phi0: float, dphi0: float, phi1: float) -> float:
@@ -152,9 +137,8 @@ def backtracking_search(
     phi0: float,
     dphi0: float,
     config: LineSearchConfig | None = None,
-    dphi: Callable[[float], float] | None = None,
 ) -> LineSearchResult:
-    """Armijo backtracking with polynomial-model trial steps.
+    """Armijo backtracking from the unit step with polynomial-model trial steps.
 
     Parameters
     ----------
@@ -165,10 +149,6 @@ def backtracking_search(
     phi0, dphi0 : float
         phi(0) and the directional derivative phi'(0), dphi0 < 0.
     config : LineSearchConfig, optional
-    dphi : callable, optional
-        phi'(alpha); when given, the curvature condition
-        phi'(alpha) >= sigma2 * phi'(0) is evaluated at the accepted step
-        and reported in ``curvature_ok``. Purely diagnostic.
     """
     cfg = config or LineSearchConfig()
     if dphi0 >= 0.0:
@@ -183,42 +163,27 @@ def backtracking_search(
     def armijo(a: float, v: float) -> bool:
         return v <= phi0 + cfg.sigma1 * a * dphi0
 
-    trials: list[float] = []
-    alpha = cfg.alpha0
+    alpha = 1.0
     val = evaluate(alpha)
-    trials.append(alpha)
-    evaluations = 1
+    trials = [alpha]
     backtracks = 0
     prev: tuple[float, float] | None = None  # the trial before the most recent one
 
     while not armijo(alpha, val):
         backtracks += 1
         if backtracks > cfg.max_backtracks:
-            return LineSearchResult(alpha, val, evaluations, backtracks - 1,
-                                    "step-too-small", trials, None)
+            return LineSearchResult(alpha, val, len(trials), backtracks - 1,
+                                    "step-too-small", trials)
         if prev is None:
-            raw = _quadratic_minimizer_at(phi0, dphi0, alpha, val)
-            new_alpha = float(min(max(raw, cfg.lower_factor * alpha),
-                                  cfg.upper_factor * alpha))
+            new_alpha = quadratic_step(phi0, dphi0, val)
         else:
-            c, d = _cubic_coefficients(phi0, dphi0, alpha, val, prev[0], prev[1])
-            raw_min = _cubic_minimizer(c, d, dphi0)
-            if raw_min is None:
-                new_alpha = 0.5 * alpha
-            else:
-                new_alpha = float(min(max(raw_min, cfg.lower_factor * alpha),
-                                      cfg.upper_factor * alpha))
+            new_alpha = cubic_step(phi0, dphi0, alpha, val, *prev)
         if new_alpha < cfg.min_step:
-            return LineSearchResult(alpha, val, evaluations, backtracks,
-                                    "step-too-small", trials, None)
+            return LineSearchResult(alpha, val, len(trials), backtracks,
+                                    "step-too-small", trials)
         prev = (alpha, val)
         alpha = new_alpha
         val = evaluate(alpha)
         trials.append(alpha)
-        evaluations += 1
 
-    curvature_ok = None
-    if dphi is not None:
-        curvature_ok = bool(float(dphi(alpha)) >= cfg.sigma2 * dphi0)
-    return LineSearchResult(alpha, val, evaluations, backtracks, "accepted",
-                            trials, curvature_ok)
+    return LineSearchResult(alpha, val, len(trials), backtracks, "accepted", trials)

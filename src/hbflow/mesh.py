@@ -145,19 +145,6 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     return Mesh(vertices, triangles, boundary_vertex, areas, basis_gradients, h)
 
 
-def mesh_parameter(mesh: Mesh) -> float:
-    """Largest inscribed-circle radius, max over triangles of area/semiperimeter."""
-    p0 = mesh.vertices[mesh.triangles[:, 0]]
-    p1 = mesh.vertices[mesh.triangles[:, 1]]
-    p2 = mesh.vertices[mesh.triangles[:, 2]]
-    semi = 0.5 * (
-        np.linalg.norm(p1 - p0, axis=1)
-        + np.linalg.norm(p2 - p1, axis=1)
-        + np.linalg.norm(p0 - p2, axis=1)
-    )
-    return float(np.max(mesh.areas / semi))
-
-
 def build_unit_square_mesh(n: int) -> Mesh:
     """Criss-cross triangulation of the unit square with n x n cells.
 

@@ -167,51 +167,6 @@ def solve_poisson_init(
     return problem.poisson_start()
 
 
-def _direction(mesh, gradient, u, params, load, grad, linear) -> np.ndarray:
-    if grad is None:
-        grad = evaluate_gradient(mesh, gradient, u, params, load)
-    problem = _Problem(mesh, gradient, load, linear or LinearConfig())
-    return problem.descent_direction(u, params, grad)[0]
-
-
-def descent_direction_shear_thinning(
-    mesh: Mesh,
-    gradient: sp.spmatrix,
-    u: np.ndarray,
-    params: HuberParams,
-    load: np.ndarray,
-    *,
-    grad: np.ndarray | None = None,
-    linear: LinearConfig | None = None,
-) -> np.ndarray:
-    """Direction solving A_{eps,u} w = -J'(u), for 1 < p < 2.
-
-    ``grad`` lets callers that already evaluated J'(u) skip recomputing it.
-    """
-    if not 1.0 < params.p < 2.0:
-        raise ValueError(f"shear-thinning branch needs 1 < p < 2, got p={params.p}")
-    return _direction(mesh, gradient, u, params, load, grad, linear)
-
-
-def descent_direction_shear_thickening(
-    mesh: Mesh,
-    gradient: sp.spmatrix,
-    u: np.ndarray,
-    params: HuberParams,
-    load: np.ndarray,
-    *,
-    grad: np.ndarray | None = None,
-    linear: LinearConfig | None = None,
-) -> np.ndarray:
-    """Direction solving A w = -J'(u) with the plain stiffness matrix, p >= 2.
-
-    ``grad`` lets callers that already evaluated J'(u) skip recomputing it.
-    """
-    if params.p < 2.0:
-        raise ValueError(f"shear-thickening branch needs p >= 2, got p={params.p}")
-    return _direction(mesh, gradient, u, params, load, grad, linear)
-
-
 def solve(
     mesh: Mesh,
     config: SolverConfig,

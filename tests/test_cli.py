@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbflow.cli import (
     PRESETS,
@@ -97,12 +102,63 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     ("--max-iters", "-5"),
 ])
 def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
-    argv = ["run", "--domain", "square", "--n", "6", flag, value, "--out", str(tmp_path)]
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", flag, value, "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert not out.exists()     # a rejected run leaves no output directory
+
+
+def test_unwritable_output_is_io_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(run_args(blocker / "out")) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ")
+    assert err.count("\n") == 1
+
+
+# valid range of each float flag, and the extremes that replace up to two of them
+FLOAT_FLAGS = {
+    "p": (1.01, 100.0), "g": (0.0, 1.0), "gamma": (1.0, 1e4), "epsilon": (1e-8, 1e-3),
+    "f": (-5.0, 5.0), "tol": (1e-8, 1e-2), "sigma1": (1e-6, 0.24),
+}
+EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    domain=st.sampled_from(["square", "disk"]),
+    n=st.integers(-1, 6),
+    level=st.integers(-1, 2),
+    max_iters=st.integers(-2, 4),
+    continuation=st.booleans(),
+    valid=st.fixed_dictionaries({
+        name: st.floats(min_value=low, max_value=high).map(repr)
+        for name, (low, high) in FLOAT_FLAGS.items()
+    }),
+    extreme=st.dictionaries(st.sampled_from(sorted(FLOAT_FLAGS)), st.sampled_from(EXTREMES),
+                            max_size=2),
+)
+def test_every_run_manifest_exits_with_a_documented_code(
+    domain, n, level, max_iters, continuation, valid, extreme
+):
+    # flags go as --flag=value, or argparse would read "-1" as an option
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["run", f"--domain={domain}", f"--n={n}", f"--level={level}",
+                f"--max-iters={max_iters}", f"--out={tmp}/out",
+                *(f"--{name}={value}" for name, value in {**valid, **extreme}.items())]
+        if continuation:
+            argv.append("--continuation")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
+    assert "Traceback" not in err.getvalue()
 
 
 def run_args(out, extra=()):

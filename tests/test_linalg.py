@@ -75,3 +75,12 @@ def test_solve_starved_iterations_raise_with_report(square16, rng):
     assert report.method == "pcg"
     assert report.rel_residual > 1e-14
     assert report.iterations >= 1
+
+
+@pytest.mark.parametrize("method", ["pcg", "direct"])
+def test_solve_nan_residual_raises(square4, method):
+    # ||b|| overflows to inf, so the verified residual is NaN, not a pass
+    A = poisson_matrix(square4)
+    with pytest.raises(LinearSolveError) as exc:
+        solve_spd(A, np.full(A.shape[0], 8e219), method=method)
+    assert np.isnan(exc.value.report.rel_residual)

@@ -7,7 +7,6 @@ from hbflow.mesh import (
     build_unit_disk_mesh,
     build_unit_square_mesh,
     make_mesh,
-    mesh_parameter,
 )
 from oracles import shoelace_area
 
@@ -66,11 +65,6 @@ def test_interior_indexing(square4):
     # dof_index inverts interior_indices and is -1 on the boundary
     assert (m.dof_index[m.interior_indices] == np.arange(9)).all()
     assert (m.dof_index[m.boundary_vertex] == -1).all()
-
-
-def test_mesh_parameter_matches_field(square4, disk3):
-    for m in (square4, disk3):
-        assert mesh_parameter(m) == m.h
 
 
 def test_disk_level0_geometry():

@@ -1,0 +1,25 @@
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import hbflow
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_public_names_resolve():
+    missing = [name for name in hbflow.__all__ if not hasattr(hbflow, name)]
+    assert missing == []
+
+
+def test_readme_library_example_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(blocks) == 1
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(blocks[0], str(README), "exec"), {})
+    converged, iterations, objective = out.getvalue().split()
+    assert converged in ("True", "False")
+    assert int(iterations) >= 1
+    assert float(objective) < 0.0

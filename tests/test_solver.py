@@ -5,14 +5,13 @@ import pytest
 
 import hbflow.linalg
 from hbflow.assembly import build_discrete_gradient, expand_dirichlet
-from hbflow.huber import HuberParams, evaluate_objective
+from hbflow.huber import HuberParams, evaluate_gradient, evaluate_objective
 from hbflow.mesh import make_mesh
 from hbflow.solver import (
     LinearConfig,
     SolverConfig,
+    _Problem,
     continuation_solve,
-    descent_direction_shear_thickening,
-    descent_direction_shear_thinning,
     lp_norm,
     solve,
     solve_poisson_init,
@@ -50,28 +49,18 @@ def test_poisson_init_disk_peak(disk3):
     assert np.all(full[disk3.boundary_vertex] == 0.0)
 
 
-def test_descent_direction_dispatch_guards(square4, rng):
-    gradient, load = problem_arrays(square4)
-    u = 0.1 * rng.standard_normal(square4.num_interior)
-    with pytest.raises(ValueError):
-        descent_direction_shear_thinning(
-            square4, gradient, u, HuberParams(p=2.0, g=0.2, gamma=10.0), load
-        )
-    with pytest.raises(ValueError):
-        descent_direction_shear_thickening(
-            square4, gradient, u, HuberParams(p=1.9, g=0.2, gamma=10.0), load
-        )
-
-
 def test_descent_direction_continuous_across_p2(square4, rng):
     gradient, load = problem_arrays(square4)
+    problem = _Problem(square4, gradient, load, LinearConfig())
     u = 0.3 * rng.standard_normal(square4.num_interior)
-    w_thin = descent_direction_shear_thinning(
-        square4, gradient, u, HuberParams(p=1.999, g=0.2, gamma=10.0), load
-    )
-    w_thick = descent_direction_shear_thickening(
-        square4, gradient, u, HuberParams(p=2.0, g=0.2, gamma=10.0), load
-    )
+
+    def direction(p):
+        params = HuberParams(p=p, g=0.2, gamma=10.0)
+        grad = evaluate_gradient(square4, gradient, u, params, load)
+        return problem.descent_direction(u, params, grad)[0]
+
+    w_thin = direction(1.999)   # weighted stiffness preconditioner
+    w_thick = direction(2.0)    # Laplacian preconditioner
     assert np.linalg.norm(w_thin - w_thick) <= 0.02 * np.linalg.norm(w_thick)
 
 
