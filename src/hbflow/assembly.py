@@ -133,7 +133,6 @@ def assemble_weighted_stiffness(
     weights: np.ndarray,
     *,
     gradient: sp.spmatrix | None = None,
-    restrict: bool = True,
 ) -> sp.csr_matrix:
     """Stiffness matrix with one nonnegative weight per triangle.
 
@@ -145,9 +144,6 @@ def assemble_weighted_stiffness(
     gradient : sparse matrix, optional
         Matching discrete gradient; rebuilt from the mesh when omitted.
         Passing a cached one avoids repeated construction in solver loops.
-    restrict : bool
-        Forwarded to :func:`build_discrete_gradient` when the gradient is
-        rebuilt here.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (mesh.num_triangles,):
@@ -157,7 +153,7 @@ def assemble_weighted_stiffness(
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise AssemblyError("weights must be finite and nonnegative")
     if gradient is None:
-        gradient = build_discrete_gradient(mesh, restrict=restrict)
+        gradient = build_discrete_gradient(mesh)
     wm = weights * mesh.areas
     D = sp.diags(np.concatenate([wm, wm]))
     A = (gradient.T @ (D @ gradient)).tocsr()

@@ -7,7 +7,8 @@ aggregates the endpoints into one CSV.
 
 Configuration precedence, lowest to highest: built-in defaults, --preset,
 --config key=value file, explicit flags. Exit codes: 0 success, 1 solver
-did not converge, 2 bad configuration, 3 I/O failure.
+did not converge, 2 bad configuration (an oversized problem included), 3 I/O
+failure.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import itertools
 import json
 import sys
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -348,15 +350,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        manifest = build_manifest(args)
-        if args.command == "run":
-            code, summary = run_single(manifest)
-            print(f"converged={summary['converged']} iterations={summary['iterations']} "
-                  f"J={summary['final_objective']:.6g} out={manifest.out}")
-            return code
-        return run_sweep(manifest, args)
+        # numpy/scipy overflow warnings would add lines to stderr; the exit
+        # code and the one message below already report such a failure
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            manifest = build_manifest(args)
+            if args.command == "run":
+                code, summary = run_single(manifest)
+                print(f"converged={summary['converged']} iterations={summary['iterations']} "
+                      f"J={summary['final_objective']:.6g} out={manifest.out}")
+                return code
+            return run_sweep(manifest, args)
     except ValueError as exc:           # ConfigError, MeshError, AssemblyError, bad parameters
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:          # a mesh or system too large for this machine
+        print(f"configuration error: out of memory: {exc or 'allocation failed'}",
+              file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

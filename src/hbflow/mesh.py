@@ -4,7 +4,8 @@ Everything downstream sees meshes only through the :class:`Mesh` container:
 vertex coordinates, counterclockwise triangle connectivity, boundary flags,
 and per-triangle geometry (areas and P1 basis gradients). Mesh resolution is
 measured by ``h``, the largest inscribed-circle radius over all triangles,
-which for a triangle equals area divided by semiperimeter.
+which for a triangle equals area divided by semiperimeter. Boundary flags and
+disk refinement both read edges and their triangle counts from ``_edges``.
 """
 
 from __future__ import annotations
@@ -79,14 +80,21 @@ class Mesh:
         return int(self.interior_indices.size)
 
 
-def _boundary_edges(triangles: np.ndarray) -> set[tuple[int, int]]:
-    """Edges that belong to exactly one triangle."""
-    count: dict[tuple[int, int], int] = {}
-    for a, b, c in triangles:
-        for e in ((a, b), (b, c), (c, a)):
-            key = (min(e), max(e))
-            count[key] = count.get(key, 0) + 1
-    return {e for e, n in count.items() if n == 1}
+def _edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge table: the unique undirected edges (low, high), numbered as first
+    met along each triangle's sides ab, bc, ca (this order numbers refined
+    vertices); each triangle's three edge numbers; triangles per edge.
+    """
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = sides[:, 0] * (triangles.max(initial=0) + 1) + sides[:, 1]
+    # return_index makes np.unique sort stably, so ``first`` is each key's first side
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return sides[first[order]], number[inverse].reshape(-1, 3), counts[order]
 
 
 def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
@@ -110,6 +118,13 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):
         raise MeshError("triangle index out of range")
 
+    # the edge table is freed before the geometry arrays exist, so the two
+    # never share one peak and leave fewer holes in the allocator's heap
+    edges, _, counts = _edges(triangles)
+    boundary_vertex = np.zeros(len(vertices), dtype=bool)
+    boundary_vertex[edges[counts == 1]] = True
+    del edges, _, counts
+
     p0 = vertices[triangles[:, 0]]
     p1 = vertices[triangles[:, 1]]
     p2 = vertices[triangles[:, 2]]
@@ -127,11 +142,6 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     g1 = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]]) / det[:, None]
     g2 = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]]) / det[:, None]
     basis_gradients = np.stack([g0, g1, g2], axis=1)
-
-    boundary_vertex = np.zeros(len(vertices), dtype=bool)
-    for a, b in _boundary_edges(triangles):
-        boundary_vertex[a] = True
-        boundary_vertex[b] = True
 
     semi = 0.5 * (
         np.linalg.norm(p1 - p0, axis=1)
@@ -164,52 +174,33 @@ def build_unit_square_mesh(n: int) -> Mesh:
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
 
-    tris = np.empty((2 * n * n, 3), dtype=np.int64)
-    k = 0
-    for j in range(n):
-        for i in range(n):
-            v00 = j * (n + 1) + i
-            v10 = v00 + 1
-            v01 = v00 + (n + 1)
-            v11 = v01 + 1
-            tris[k] = (v00, v10, v11)
-            tris[k + 1] = (v00, v11, v01)
-            k += 2
+    # cell (i, j) has lower-left vertex v00 and is split along v00-v11
+    v00 = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    v11 = v00 + (n + 2)
+    tris = np.column_stack([v00, v00 + 1, v11, v00, v11, v00 + (n + 1)]).reshape(-1, 3)
     return make_mesh(vertices, tris)
 
 
-def _refine(vertices: np.ndarray, triangles: np.ndarray, project_boundary: bool):
+def _refine(vertices: np.ndarray, triangles: np.ndarray):
     """One uniform refinement: each triangle into four via edge midpoints.
 
-    Midpoints of boundary edges (edges on exactly one triangle) are pushed
-    onto the unit circle when ``project_boundary`` is set.
+    Midpoints are appended in edge order; those of boundary edges (edges on
+    exactly one triangle) are pushed onto the unit circle.
     """
-    boundary = _boundary_edges(triangles)
-    verts = list(map(tuple, vertices))
-    midpoint: dict[tuple[int, int], int] = {}
+    edges, triangle_edges, counts = _edges(triangles)
+    mid = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
+    on_rim = counts == 1
+    rim = mid[on_rim]
+    # the row-wise dot rounds like np.linalg.norm of each row; the
+    # axis=1 norm, hypot and einsum differ from it in the last bit
+    mid[on_rim] = rim / np.sqrt(rim[:, None, :] @ rim[:, :, None])[:, 0]
 
-    def mid(a: int, b: int) -> int:
-        key = (min(a, b), max(a, b))
-        idx = midpoint.get(key)
-        if idx is None:
-            x = 0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))
-            if project_boundary and key in boundary:
-                x = x / np.linalg.norm(x)
-            idx = len(verts)
-            verts.append((float(x[0]), float(x[1])))
-            midpoint[key] = idx
-        return idx
-
-    out = np.empty((4 * len(triangles), 3), dtype=np.int64)
-    k = 0
-    for a, b, c in triangles:
-        mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
-        out[k] = (a, mab, mca)
-        out[k + 1] = (mab, b, mbc)
-        out[k + 2] = (mca, mbc, c)
-        out[k + 3] = (mab, mbc, mca)
-        k += 4
-    return np.asarray(verts, dtype=np.float64), out
+    a, b, c = triangles.T
+    mab, mbc, mca = (len(vertices) + triangle_edges).T
+    children = np.stack(
+        [a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1
+    ).reshape(-1, 3)
+    return np.vstack([vertices, mid]), children
 
 
 def build_unit_disk_mesh(level: int) -> Mesh:
@@ -229,7 +220,8 @@ def build_unit_disk_mesh(level: int) -> Mesh:
         raise MeshError(f"level must be >= 0, got {level}")
     angles = np.arange(6) * (np.pi / 3.0)
     vertices = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
-    triangles = np.array([[0, 1 + i, 1 + (i + 1) % 6] for i in range(6)], dtype=np.int64)
+    rim = np.arange(1, 7)
+    triangles = np.column_stack([np.zeros(6, dtype=np.int64), rim, rim % 6 + 1])
     for _ in range(level):
-        vertices, triangles = _refine(vertices, triangles, project_boundary=True)
+        vertices, triangles = _refine(vertices, triangles)
     return make_mesh(vertices, triangles)

@@ -1,10 +1,10 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here is written against the mathematical definitions with no
-shared code paths: areas via the shoelace formula, per-triangle gradients
-via an explicit plane fit through the three vertex values, the objective as
-a plain Python loop over triangles, and gradients by central differences of
-that loop. Slow on purpose; only ever run on tiny meshes.
+shared code paths: meshes vertex by vertex with edges counted in a dict,
+areas via the shoelace formula, per-triangle gradients via an explicit plane
+fit through the three vertex values, the objective as a plain Python loop
+over triangles, and gradients by central differences of that loop. Slow on purpose; only ever run on tiny meshes.
 """
 
 import numpy as np
@@ -90,3 +90,63 @@ def poisson_square_center(terms=60):
             num = np.sin(m * np.pi / 2.0) * np.sin(n * np.pi / 2.0)
             total += 16.0 / (np.pi**4) * num / (m * n * (m * m + n * n))
     return total
+
+
+def edge_counts(triangles):
+    """Triangles per undirected edge, keyed (low, high), in first-met order."""
+    count = {}
+    for a, b, c in triangles:
+        for e in ((a, b), (b, c), (c, a)):
+            key = (min(e), max(e))
+            count[key] = count.get(key, 0) + 1
+    return count
+
+
+def boundary_flags(num_vertices, triangles):
+    """True for every vertex on an edge that only one triangle has."""
+    flags = np.zeros(num_vertices, dtype=bool)
+    for (a, b), n in edge_counts(triangles).items():
+        if n == 1:
+            flags[a] = flags[b] = True
+    return flags
+
+
+def disk_mesh(level):
+    """Hexagonal fan refined ``level`` times; new vertices are numbered as
+    midpoints are first met, and boundary midpoints go onto the unit circle."""
+    angles = np.arange(6) * (np.pi / 3.0)
+    verts = [(0.0, 0.0)] + [(np.cos(t), np.sin(t)) for t in angles]
+    tris = [(0, 1 + i, 1 + (i + 1) % 6) for i in range(6)]
+    for _ in range(level):
+        count = edge_counts(tris)
+        midpoint = {}
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                x = 0.5 * (np.asarray(verts[a]) + np.asarray(verts[b]))
+                if count[key] == 1:
+                    x = x / np.linalg.norm(x)
+                midpoint[key] = len(verts)
+                verts.append((x[0], x[1]))
+            return midpoint[key]
+
+        children = []
+        for a, b, c in tris:
+            mab, mbc, mca = mid(a, b), mid(b, c), mid(c, a)
+            children += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+        tris = children
+    return np.array(verts), np.array(tris), boundary_flags(len(verts), tris)
+
+
+def square_mesh(n):
+    """n x n cells, row by row from y = 0; each split along its v00-v11 diagonal."""
+    xs = np.linspace(0.0, 1.0, n + 1)
+    verts = [(x, y) for y in xs for x in xs]
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            v00 = j * (n + 1) + i
+            v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+            tris += [(v00, v10, v11), (v00, v11, v01)]
+    return np.array(verts), np.array(tris), boundary_flags(len(verts), tris)

@@ -62,7 +62,9 @@ def test_gradient_magnitudes_is_hypot(square2, rng):
 def test_local_stiffness_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = make_mesh(verts, np.array([[0, 1, 2]]))
-    a = assemble_weighted_stiffness(m, np.ones(1), restrict=False)
+    a = assemble_weighted_stiffness(
+        m, np.ones(1), gradient=build_discrete_gradient(m, restrict=False)
+    )
     assert np.allclose(a.toarray(), LOCAL_STIFFNESS, atol=1e-14)
 
 

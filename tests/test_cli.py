@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbflow.cli
 from hbflow.cli import (
     PRESETS,
     ConfigError,
@@ -119,6 +123,27 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o error: ")
     assert err.count("\n") == 1
+
+
+def test_numeric_warnings_stay_off_stderr(tmp_path):
+    # pytest captures warnings in-process, so only a child process shows them
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-m", "hbflow.cli", "run", "--domain", "square", "--n", "6",
+            "--f", "1e300", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("solver failure: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
+    def exhausted(manifest):
+        raise MemoryError("Unable to allocate 3.0 TiB")
+
+    monkeypatch.setattr(hbflow.cli, "build_mesh", exhausted)
+    assert main(run_args(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: out of memory: Unable to allocate 3.0 TiB\n"
 
 
 # valid range of each float flag, and the extremes that replace up to two of them

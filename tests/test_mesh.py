@@ -4,11 +4,12 @@ import pytest
 from hbflow.mesh import (
     Mesh,
     MeshError,
+    _edges,
     build_unit_disk_mesh,
     build_unit_square_mesh,
     make_mesh,
 )
-from oracles import shoelace_area
+from oracles import disk_mesh, edge_counts, shoelace_area, square_mesh
 
 REF_H = (2.0 - np.sqrt(2.0)) / 2.0          # inradius of the unit right triangle
 EQUILATERAL_H = 1.0 / (2.0 * np.sqrt(3.0))  # inradius of the unit equilateral triangle
@@ -96,6 +97,27 @@ def test_disk_h_decreases():
     assert hs[0] > hs[1] > hs[2] > hs[3]
     # level 6 is the first level under the 0.01 mark used by the disk runs
     assert hs[2] > 0.01 > hs[3]
+
+
+@pytest.mark.parametrize("build, oracle, size", [
+    *((build_unit_disk_mesh, disk_mesh, level) for level in range(5)),
+    *((build_unit_square_mesh, square_mesh, n) for n in (1, 2, 5)),
+])
+def test_numbering_matches_brute_force(build, oracle, size):
+    # the vertex order fixes every output file, so it is pinned exactly
+    m = build(size)
+    vertices, triangles, boundary = oracle(size)
+    assert np.array_equal(m.vertices, vertices)
+    assert np.array_equal(m.triangles, triangles)
+    assert np.array_equal(m.boundary_vertex, boundary)
+    edges, triangle_edges, counts = _edges(m.triangles)
+    count = edge_counts(m.triangles.tolist())
+    assert [tuple(e) for e in edges.tolist()] == list(count)
+    assert counts.tolist() == list(count.values())
+    sides = np.sort(m.triangles[:, [[0, 1], [1, 2], [2, 0]]], axis=2)
+    assert np.array_equal(edges[triangle_edges], sides)
+    # Euler characteristic of a disk-shaped triangulation
+    assert m.num_vertices - len(edges) + m.num_triangles == 1
 
 
 def test_make_mesh_rejects_bad_input():
