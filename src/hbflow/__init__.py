@@ -22,7 +22,6 @@ from .huber import (
     dual_field,
     evaluate_gradient,
     evaluate_objective,
-    huber_psi,
 )
 from .linalg import LinearSolveError, SpdSolveReport, solve_spd
 from .linesearch import (
@@ -46,9 +45,7 @@ from .solver import (
     SolveOutcome,
     SolverConfig,
     continuation_solve,
-    lp_norm,
     solve,
-    solve_poisson_init,
     wp_seminorm,
 )
 
@@ -69,7 +66,6 @@ __all__ = [
     "assemble_load_vector",
     "expand_dirichlet",
     "HuberParams",
-    "huber_psi",
     "evaluate_objective",
     "evaluate_gradient",
     "DualField",
@@ -88,9 +84,7 @@ __all__ = [
     "IterationRecord",
     "SolveOutcome",
     "solve",
-    "solve_poisson_init",
     "continuation_solve",
     "wp_seminorm",
-    "lp_norm",
     "__version__",
 ]

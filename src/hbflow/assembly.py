@@ -7,11 +7,13 @@ indexing columns over interior vertices only, so boundary values are
 identically zero everywhere downstream.
 
 All stiffness matrices here share one structure, differing only in a
-positive per-triangle weight w:
+nonnegative per-triangle weight w:
 
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
-which is assembled as G^T diag(w * area, w * area) G.
+which is G^T D G, D = diag(w * area, w * area), assembled from a scatter
+plan that lives as long as G. It sums each entry in the order scipy's
+``G.T @ (D @ G)`` does, so the matrices are bit for bit the same.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def assemble_weighted_stiffness(
         Per-triangle weights, finite and >= 0.
     gradient : sparse matrix, optional
         Matching discrete gradient; rebuilt from the mesh when omitted.
-        Passing a cached one avoids repeated construction in solver loops.
+        Passing the same one again reuses its scatter plan.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (mesh.num_triangles,):
@@ -154,12 +156,85 @@ def assemble_weighted_stiffness(
         raise AssemblyError("weights must be finite and nonnegative")
     if gradient is None:
         gradient = build_discrete_gradient(mesh)
-    wm = weights * mesh.areas
-    D = sp.diags(np.concatenate([wm, wm]))
-    A = (gradient.T @ (D @ gradient)).tocsr()
-    A.eliminate_zeros()
-    A.sort_indices()
-    return A
+    return _stiffness_pattern(gradient).assemble(gradient, weights * mesh.areas)
+
+
+class _StiffnessPattern:
+    """Scatter plan of G^T D G for one discrete gradient G.
+
+    Rows t and t + nt of G (x and y) share the at most three columns of
+    triangle t, at ``slots`` (3, nt) in G's x data. Entry (i, j) sums
+    G[k, i] * (d[k] * G[k, j]) from zero over rows k ascending, as scipy's
+    product does. Entries are ranked by term count, most first, so the s-th
+    terms of all entries that have one add to a prefix: ``terms[s]`` holds
+    their flat indices into the (3, 3, nt) products, and ``rank`` each CSR
+    entry's place in the ranking.
+    """
+
+    def __init__(self, gradient: sp.csr_matrix):
+        if gradient.format != "csr":
+            raise AssemblyError(f"gradient must be CSR, got {gradient.format}")
+        n, nt = gradient.shape[1], gradient.shape[0] // 2
+        indptr, indices, self.nx = gradient.indptr, gradient.indices, int(gradient.indptr[nt])
+        lengths = np.diff(indptr[:nt + 1])
+        if (np.any(lengths > 3) or not np.array_equal(indptr[nt:] - self.nx, indptr[:nt + 1])
+                or not np.array_equal(indices[:self.nx], indices[self.nx:])):
+            raise AssemblyError("gradient rows t and t + nt must share at most 3 columns")
+        slot = np.arange(3)[:, None]
+        valid = slot < lengths
+        self.slots = np.where(valid, indptr[:nt] + slot, 0).astype(np.int32)
+        cols = indices[self.slots].ravel()
+
+        # every term, triangles ascending: its flat index and its entry's key
+        pairs = valid.T[:, :, None] & valid.T[:, None, :]         # (nt, 3, 3)
+        t, flat = np.divmod(np.flatnonzero(pairs).astype(np.int32), 9)
+        a, b = np.divmod(flat, 3)
+        for x in (a, b, flat):
+            x *= nt
+            x += t
+        del pairs, t
+        keys = cols[a].astype(np.int32 if n * n < 2**31 else np.int64) * n + cols[b]
+        del a, b
+        order = np.argsort(keys, kind="stable")    # triangles stay ascending per entry
+        flat, keys = flat[order], keys[order]
+        del order
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).astype(np.int32)
+        counts = np.diff(first, append=keys.size)
+        keys = keys[first]
+        self.shape = (n, n)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        del keys
+
+        by_count = np.argsort(-counts, kind="stable")
+        self.rank = np.empty(by_count.size, dtype=np.int32)
+        self.rank[by_count] = np.arange(by_count.size, dtype=np.int32)
+        first, counts = first[by_count], counts[by_count]
+        self.terms = [flat[first[counts > s] + s] for s in range(counts[0])]
+
+    def assemble(self, gradient: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+        """G^T diag(d, d) G for this plan's G, with d of shape (nt,)."""
+        # numpy gathers twice as fast with intp indices: cast int32 ones first
+        index, slots = np.empty(self.rank.size, dtype=np.intp), self.slots.astype(np.intp)
+        products, acc = np.empty((3, 3, slots.shape[1])), np.zeros(self.rank.size)
+        for values in (gradient.data[:self.nx], gradient.data[self.nx:]):
+            g = values[slots]
+            np.multiply(g[:, None, :], (d * g)[None, :, :], out=products)
+            for terms in self.terms:
+                index[:terms.size] = terms
+                acc[:terms.size] += products.reshape(-1)[index[:terms.size]]
+        index[:] = self.rank
+        A = sp.csr_matrix((acc[index], self.indices.copy(), self.indptr.copy()),
+                          shape=self.shape)
+        A.eliminate_zeros()
+        return A
+
+
+def _stiffness_pattern(gradient: sp.csr_matrix) -> _StiffnessPattern:
+    # kept on G itself, so the plan lives exactly as long as G
+    if not hasattr(gradient, "_hbflow_stiffness_pattern"):
+        gradient._hbflow_stiffness_pattern = _StiffnessPattern(gradient)
+    return gradient._hbflow_stiffness_pattern
 
 
 def assemble_load_vector(

@@ -76,7 +76,6 @@ _BOOL_FALSE = {"0", "false", "no", "off"}
 
 
 def _coerce(name: str, raw: str):
-    kind = _FIELD_TYPES[name]
     if name in ("n", "level", "max_iters"):
         return int(raw)
     if name == "continuation":
@@ -86,7 +85,7 @@ def _coerce(name: str, raw: str):
         if low in _BOOL_FALSE:
             return False
         raise ConfigError(f"cannot parse boolean {name}={raw!r}")
-    if kind in ("str", "str | None") or name in ("domain", "out", "preset"):
+    if name in ("domain", "out", "preset"):
         return raw
     return float(raw)
 
@@ -261,17 +260,10 @@ def _parse_list(raw: str, cast) -> list:
 
 def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     """Cartesian product of the requested value lists; one directory per point."""
-    axes: list[tuple[str, list]] = []
-    if args.g_list:
-        axes.append(("g", _parse_list(args.g_list, float)))
-    if args.p_list:
-        axes.append(("p", _parse_list(args.p_list, float)))
-    if args.gamma_list:
-        axes.append(("gamma", _parse_list(args.gamma_list, float)))
-    if args.n_list:
-        axes.append(("n", _parse_list(args.n_list, int)))
-    if args.level_list:
-        axes.append(("level", _parse_list(args.level_list, int)))
+    lists = (("g", args.g_list, float), ("p", args.p_list, float),
+             ("gamma", args.gamma_list, float), ("n", args.n_list, int),
+             ("level", args.level_list, int))
+    axes = [(name, _parse_list(raw, cast)) for name, raw, cast in lists if raw]
 
     base_out = Path(manifest.out)
     try:

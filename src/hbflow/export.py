@@ -1,4 +1,4 @@
-"""Plain-file output: legacy VTK, a small mesh text format, history CSV.
+"""Plain-file output: legacy VTK and history CSV.
 
 All writers format numbers with repr-stable format codes so identical
 inputs produce byte-identical files.
@@ -10,10 +10,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .mesh import Mesh, make_mesh
+from .mesh import Mesh
 from .solver import IterationRecord
 
 CSV_HEADER = "it,rel_residual,J,alpha,ls_iters"
+
+# lines formatted per write, so no file is ever held in memory as text
+_ROWS_PER_WRITE = 4096
+
+
+def _write_rows(fh, fmt: str, values: np.ndarray) -> None:
+    """One line ``fmt.format(*row)`` per row of ``values``, in blocks."""
+    rows = values.reshape(len(values), -1)
+    for start in range(0, len(rows), _ROWS_PER_WRITE):
+        block = rows[start:start + _ROWS_PER_WRITE].tolist()
+        fh.write("".join([fmt.format(*row) for row in block]))
 
 
 def write_vtk(
@@ -27,76 +38,29 @@ def write_vtk(
     Integer-typed arrays are written as int scalars, everything else as
     double.
     """
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "hbflow solution",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.num_vertices} double",
-    ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.12g} {y:.12g} 0")
-    lines.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.num_triangles}")
-    lines.extend(["5"] * mesh.num_triangles)
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    sections = (("POINT", nv, point_data or {}), ("CELL", nt, cell_data or {}))
+    for kind, count, fields in sections:
+        for name, values in fields.items():
+            if np.shape(values) != (count,):
+                raise ValueError(f"{kind.lower()} field {name!r} has shape {np.shape(values)}")
 
-    def scalar_block(name: str, values: np.ndarray) -> list[str]:
-        values = np.asarray(values)
-        if np.issubdtype(values.dtype, np.integer) or values.dtype == bool:
-            out = [f"SCALARS {name} int 1", "LOOKUP_TABLE default"]
-            out.extend(str(int(v)) for v in values)
-        else:
-            out = [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
-            out.extend(f"{v:.12g}" for v in values)
-        return out
-
-    if point_data:
-        lines.append(f"POINT_DATA {mesh.num_vertices}")
-        for name, values in point_data.items():
-            if len(values) != mesh.num_vertices:
-                raise ValueError(f"point field {name!r} has length {len(values)}")
-            lines.extend(scalar_block(name, values))
-    if cell_data:
-        lines.append(f"CELL_DATA {mesh.num_triangles}")
-        for name, values in cell_data.items():
-            if len(values) != mesh.num_triangles:
-                raise ValueError(f"cell field {name!r} has length {len(values)}")
-            lines.extend(scalar_block(name, values))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_mesh_text(path, mesh: Mesh) -> None:
-    """Counts line, then "x y boundary_flag" per vertex, then "i j k" per triangle."""
-    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
-    for (x, y), b in zip(mesh.vertices, mesh.boundary_vertex):
-        # repr of a builtin float is the shortest exact round-trip form;
-        # numpy scalars would render as np.float64(...)
-        lines.append(f"{float(x)!r} {float(y)!r} {int(b)}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"{a} {b} {c}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_mesh_text(path) -> Mesh:
-    """Inverse of :func:`write_mesh_text`; boundary flags are recomputed
-    from the connectivity and checked against the stored ones."""
-    tokens = Path(path).read_text().split("\n")
-    nv, nt = map(int, tokens[0].split())
-    verts = np.empty((nv, 2))
-    flags = np.empty(nv, dtype=bool)
-    for i in range(nv):
-        x, y, b = tokens[1 + i].split()
-        verts[i] = (float(x), float(y))
-        flags[i] = bool(int(b))
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for k in range(nt):
-        tris[k] = tuple(map(int, tokens[1 + nv + k].split()))
-    mesh = make_mesh(verts, tris)
-    if not np.array_equal(mesh.boundary_vertex, flags):
-        raise ValueError(f"stored boundary flags disagree with connectivity in {path}")
-    return mesh
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\nhbflow solution\nASCII\n"
+                 f"DATASET UNSTRUCTURED_GRID\nPOINTS {nv} double\n")
+        _write_rows(fh, "{:.12g} {:.12g} 0\n", mesh.vertices)
+        fh.write(f"CELLS {nt} {4 * nt}\n")
+        _write_rows(fh, "3 {} {} {}\n", mesh.triangles)
+        fh.write(f"CELL_TYPES {nt}\n" + "5\n" * nt)
+        for kind, count, fields in sections:
+            if fields:
+                fh.write(f"{kind}_DATA {count}\n")
+            for name, values in fields.items():
+                values = np.asarray(values)
+                integral = np.issubdtype(values.dtype, np.integer) or values.dtype == bool
+                fh.write(f"SCALARS {name} {'int' if integral else 'double'} 1\n"
+                         "LOOKUP_TABLE default\n")
+                _write_rows(fh, "{:d}\n" if integral else "{:.12g}\n", values)
 
 
 def write_history_csv(path, history: list[IterationRecord]) -> None:

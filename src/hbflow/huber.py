@@ -59,12 +59,6 @@ class HuberParams:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
 
-def huber_psi(z, params: HuberParams) -> float:
-    """psi_gamma at a single 2-vector z."""
-    r = float(np.hypot(*np.asarray(z, dtype=np.float64)))
-    return float(_psi_of_magnitude(np.array([r]), params.g, params.gamma)[0])
-
-
 def _psi_of_magnitude(xi: np.ndarray, g: float, gamma: float) -> np.ndarray:
     # np.where evaluates both branches; the quadratic one may overflow for
     # huge xi even though only the linear branch is selected there

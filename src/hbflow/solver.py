@@ -8,9 +8,9 @@ direction, where the preconditioner depends on the flow index:
 * shear-thickening (p >= 2, including the Bingham case p = 2): P_k is the
   plain Laplacian stiffness matrix, the H^1_0 Riesz map.
 
-The Laplacian does not depend on gamma or on the iterate. It is assembled,
-and for the direct linear method factored, once per run, or once per
-continuation ladder, and the Poisson start shares that matrix and factor.
+The Laplacian depends on neither gamma nor the iterate. For p >= 2 it is
+assembled, and factored for the direct method, once per run or ladder, and
+the Poisson start shares it; for p < 2 only that start uses it.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -32,7 +32,6 @@ from .assembly import (
     assemble_load_vector,
     assemble_weighted_stiffness,
     build_discrete_gradient,
-    expand_dirichlet,
     gradient_magnitudes,
     weights_preconditioner,
 )
@@ -111,8 +110,8 @@ class SolveOutcome:
 @dataclass
 class _Problem:
     """What stays fixed over a run or a continuation ladder: mesh, discrete
-    gradient, load, linear solver settings, and, built on first use, the
-    Laplacian and its LU factor (direct method only)."""
+    gradient, load, linear solver settings, and, for p >= 2, built on first
+    use, the Laplacian and its LU factor (direct method only)."""
 
     mesh: Mesh
     gradient: sp.csr_matrix
@@ -123,15 +122,12 @@ class _Problem:
     def build(cls, mesh: Mesh, f, linear: LinearConfig) -> _Problem:
         return cls(mesh, build_discrete_gradient(mesh), assemble_load_vector(mesh, f), linear)
 
-    @cached_property
-    def laplacian(self) -> sp.csr_matrix:
-        return assemble_weighted_stiffness(
-            self.mesh, np.ones(self.mesh.num_triangles), gradient=self.gradient
-        )
+    def _laplacian(self):
+        A = assemble_weighted_stiffness(self.mesh, np.ones(self.mesh.num_triangles),
+                                        gradient=self.gradient)
+        return A, factorize_spd(A) if self.linear.method == "direct" else None
 
-    @cached_property
-    def laplacian_factor(self):
-        return factorize_spd(self.laplacian) if self.linear.method == "direct" else None
+    laplacian = cached_property(_laplacian)    # for p >= 2, kept for the run
 
     def solve_linear(self, A: sp.spmatrix, b: np.ndarray, factor=None) -> np.ndarray:
         lin = self.linear
@@ -139,8 +135,10 @@ class _Problem:
                          factor=factor)
         return x
 
-    def poisson_start(self) -> np.ndarray:
-        return self.solve_linear(self.laplacian, self.load, self.laplacian_factor)
+    def poisson_start(self, p: float) -> np.ndarray:
+        # for p < 2 no direction uses the Laplacian: it is dropped after
+        A, factor = self.laplacian if p >= 2.0 else self._laplacian()
+        return self.solve_linear(A, self.load, factor)
 
     def descent_direction(self, u: np.ndarray, params: HuberParams, grad: np.ndarray):
         """w solving P_k w = -J'(u), and P_k.
@@ -151,20 +149,12 @@ class _Problem:
         factored) on every call.
         """
         if params.p >= 2.0:
-            P, factor = self.laplacian, self.laplacian_factor
+            P, factor = self.laplacian
         else:
             xi = gradient_magnitudes(self.gradient, u)
             w = weights_preconditioner(xi, params.p, params.epsilon)
             P, factor = assemble_weighted_stiffness(self.mesh, w, gradient=self.gradient), None
         return self.solve_linear(P, -grad, factor), P
-
-
-def solve_poisson_init(
-    mesh: Mesh, load: np.ndarray, linear: LinearConfig | None = None
-) -> np.ndarray:
-    """Initial iterate: the Poisson solution with the same load."""
-    problem = _Problem(mesh, build_discrete_gradient(mesh), load, linear or LinearConfig())
-    return problem.poisson_start()
 
 
 def solve(
@@ -203,7 +193,7 @@ def solve(
         problem = _Problem.build(mesh, f, config.linear)
     G, load = problem.gradient, problem.load
     if u0 is None:
-        u = problem.poisson_start()
+        u = problem.poisson_start(params.p)
     else:
         u = np.asarray(u0, dtype=np.float64).copy()
         if u.shape != load.shape:
@@ -293,13 +283,3 @@ def wp_seminorm(mesh: Mesh, gradient: sp.spmatrix, u: np.ndarray, p: float) -> f
     """Discrete W^{1,p} seminorm (sum of area * xi^p)^(1/p)."""
     xi = gradient_magnitudes(gradient, u)
     return float(np.sum(mesh.areas * xi**p) ** (1.0 / p))
-
-
-def lp_norm(mesh: Mesh, u: np.ndarray, p: float) -> float:
-    """Discrete L^p norm of the interior field via vertex quadrature."""
-    full = np.abs(expand_dirichlet(mesh, u)) ** p
-    third = mesh.areas / 3.0
-    total = 0.0
-    for k in range(3):
-        total += float(third @ full[mesh.triangles[:, k]])
-    return total ** (1.0 / p)

@@ -4,10 +4,16 @@ Everything here is written against the mathematical definitions with no
 shared code paths: meshes vertex by vertex with edges counted in a dict,
 areas via the shoelace formula, per-triangle gradients via an explicit plane
 fit through the three vertex values, the objective as a plain Python loop
-over triangles, and gradients by central differences of that loop. Slow on purpose; only ever run on tiny meshes.
+over triangles, and gradients by central differences of that loop. Slow on
+purpose; only ever run on tiny meshes.
+
+Two oracles keep an earlier implementation instead, for bit-for-bit and
+byte-for-byte comparison: the weighted stiffness as scipy's sparse product
+G^T D G, and the VTK writer that joins the whole file in memory.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
 
 def shoelace_area(pts):
@@ -150,3 +156,46 @@ def square_mesh(n):
             v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
             tris += [(v00, v10, v11), (v00, v11, v01)]
     return np.array(verts), np.array(tris), boundary_flags(len(verts), tris)
+
+
+def write_vtk(path, mesh, point_data=None, cell_data=None):
+    """Legacy VTK file built as one list of lines and joined at the end."""
+    lines = [
+        "# vtk DataFile Version 3.0",
+        "hbflow solution",
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.num_vertices} double",
+    ]
+    for x, y in mesh.vertices:
+        lines.append(f"{x:.12g} {y:.12g} 0")
+    lines.append(f"CELLS {mesh.num_triangles} {4 * mesh.num_triangles}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {mesh.num_triangles}")
+    lines.extend(["5"] * mesh.num_triangles)
+    for header, count, fields in (("POINT_DATA", mesh.num_vertices, point_data),
+                                  ("CELL_DATA", mesh.num_triangles, cell_data)):
+        if not fields:
+            continue
+        lines.append(f"{header} {count}")
+        for name, values in fields.items():
+            values = np.asarray(values)
+            if np.issubdtype(values.dtype, np.integer) or values.dtype == bool:
+                lines += [f"SCALARS {name} int 1", "LOOKUP_TABLE default"]
+                lines.extend(str(int(v)) for v in values)
+            else:
+                lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+                lines.extend(f"{v:.12g}" for v in values)
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def weighted_stiffness(mesh, weights, gradient):
+    """G^T diag(w * area, w * area) G as scipy's sparse product, zeros dropped."""
+    wm = weights * mesh.areas
+    D = sp.diags(np.concatenate([wm, wm]))
+    A = (gradient.T @ (D @ gradient)).tocsr()
+    A.eliminate_zeros()
+    A.sort_indices()
+    return A

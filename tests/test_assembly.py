@@ -1,7 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from hbflow import assembly
 from hbflow.assembly import (
     AssemblyError,
     assemble_load_vector,
@@ -13,7 +16,10 @@ from hbflow.assembly import (
     weights_plaplacian,
     weights_preconditioner,
 )
-from hbflow.mesh import build_unit_square_mesh, make_mesh
+from hbflow.huber import HuberParams, evaluate_gradient
+from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
+from hbflow.solver import LinearConfig, SolverConfig, continuation_solve, solve
+import oracles
 from oracles import plane_gradient
 
 # stiffness of the unit right triangle {(0,0),(1,0),(0,1)} with unit weight
@@ -168,3 +174,102 @@ def test_expand_dirichlet_roundtrip(square4, rng):
     assert full.shape == (square4.vertices.shape[0],)
     assert np.allclose(full[square4.boundary_vertex], 0.0, atol=0.0)
     assert np.allclose(full[~square4.boundary_vertex], u, atol=0.0)
+
+
+def _bits_equal(a, b):
+    return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
+
+
+def _single_triangle():
+    return make_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+
+
+@pytest.mark.parametrize("mesh", [
+    *[pytest.param(("disk", level), id=f"disk{level}") for level in range(5)],
+    *[pytest.param(("square", n), id=f"square{n}") for n in (1, 2, 3, 8)],
+    pytest.param(("triangle", 0), id="triangle"),
+])
+def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
+    kind, size = mesh
+    m = {"disk": build_unit_disk_mesh, "square": build_unit_square_mesh}.get(
+        kind, lambda _: _single_triangle())(size)
+    nt = m.num_triangles
+    spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
+    spread[rng.random(nt) < 0.3] = 0.0
+    spread[0] = 0.0
+    weights = [np.ones(nt), spread, rng.uniform(0.5, 2.0, nt), np.zeros(nt)]
+    gradients = [build_discrete_gradient(m, restrict=False)]
+    if m.num_interior:
+        gradients.append(build_discrete_gradient(m))
+    for g in gradients:
+        for w in weights:
+            got = assemble_weighted_stiffness(m, w, gradient=g)
+            assert _bits_equal(got, oracles.weighted_stiffness(m, w, g))
+            assert got.has_sorted_indices
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_gradient_bits_equal_the_sparse_product(disk3, rng, p):
+    params = HuberParams(p=p, g=0.2, gamma=50.0)
+    gradient, load = build_discrete_gradient(disk3), assemble_load_vector(disk3, 1.0)
+    # zero on the left half, so the p-Laplacian weight has zeros there
+    x = disk3.vertices[disk3.interior_indices, 0]
+    u = np.where(x > 0.0, 0.5 * rng.standard_normal(x.size), 0.0)
+    xi = gradient_magnitudes(gradient, u)
+    assert np.any(weights_plaplacian(xi, p) == 0.0)
+    a_u = oracles.weighted_stiffness(disk3, weights_plaplacian(xi, p), gradient)
+    a_max = oracles.weighted_stiffness(disk3, weights_huber(xi, 0.2, 50.0), gradient)
+    want = a_u @ u + a_max @ u - load
+    got = evaluate_gradient(disk3, gradient, u, params, load)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture
+def pattern_builds(monkeypatch):
+    """ids of the gradients each new stiffness pattern is built for."""
+    built = []
+
+    class Counting(assembly._StiffnessPattern):
+        def __init__(self, gradient):
+            built.append(id(gradient))
+            super().__init__(gradient)
+
+    monkeypatch.setattr(assembly, "_StiffnessPattern", Counting)
+    return built
+
+
+def test_pattern_is_built_once_per_solve(square16, pattern_builds):
+    cfg = SolverConfig(p=1.5, g=0.2, gamma=1e3, max_iters=30)
+    out = solve(square16, cfg, 1.0)
+    assert out.iterations == 30      # 1 + 3 x 30 assemblies
+    assert len(pattern_builds) == 1
+
+
+def test_pattern_is_built_once_per_ladder(square16, pattern_builds):
+    cfg = SolverConfig(p=4.0, g=0.2, gamma=1e3, max_iters=5,
+                       linear=LinearConfig(method="direct"))
+    stages = continuation_solve(square16, cfg, 3.0, gamma_start=10.0, gamma_end=1e3)
+    assert len(stages) == 3
+    assert len(pattern_builds) == 1
+
+
+def test_pattern_lives_as_long_as_its_gradient(square4, pattern_builds):
+    g = build_discrete_gradient(square4)
+    for _ in range(3):
+        assemble_weighted_stiffness(square4, np.ones(square4.num_triangles), gradient=g)
+    assert len(pattern_builds) == 1
+    pattern = weakref.ref(assembly._stiffness_pattern(g))
+    del g
+    gc.collect()
+    assert pattern() is None
+
+
+def test_stiffness_rejects_mismatched_gradient(square3, square4):
+    with pytest.raises(ValueError):
+        assemble_weighted_stiffness(square3, np.ones(square3.num_triangles),
+                                    gradient=build_discrete_gradient(square4))
+    g = build_discrete_gradient(square3)
+    with pytest.raises(AssemblyError):
+        assemble_weighted_stiffness(square3, np.ones(square3.num_triangles),
+                                    gradient=g.tocsc())

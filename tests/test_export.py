@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from hbflow.export import (
-    CSV_HEADER,
-    read_mesh_text,
-    write_history_csv,
-    write_mesh_text,
-    write_vtk,
-)
+from hbflow.export import CSV_HEADER, write_history_csv, write_vtk
+from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from hbflow.solver import IterationRecord
+import oracles
 
 
 def record(k, rel, obj, alpha, ls):
@@ -70,26 +66,24 @@ def test_vtk_rejects_wrong_field_length(square2, tmp_path):
                   cell_data={"xi": np.zeros(square2.num_triangles - 1)})
 
 
-def test_mesh_text_roundtrip(disk1, tmp_path):
-    path = tmp_path / "mesh.txt"
-    write_mesh_text(path, disk1)
-    back = read_mesh_text(path)
-    # repr-formatted coordinates survive the trip exactly
-    assert np.array_equal(back.vertices, disk1.vertices)
-    assert np.array_equal(back.triangles, disk1.triangles)
-    assert np.array_equal(back.boundary_vertex, disk1.boundary_vertex)
-    assert back.h == disk1.h
-
-
-def test_mesh_text_rejects_tampered_flags(square2, tmp_path):
-    path = tmp_path / "mesh.txt"
-    write_mesh_text(path, square2)
-    lines = path.read_text().splitlines()
-    x, y, flag = lines[1].split()
-    lines[1] = f"{x} {y} {1 - int(flag)}"
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError):
-        read_mesh_text(path)
+@pytest.mark.parametrize("mesh", [lambda: build_unit_disk_mesh(3),
+                                  lambda: build_unit_square_mesh(50)],   # 5000 rows: two blocks
+                         ids=["disk3", "square50"])
+def test_vtk_bytes_equal_the_joined_writer(mesh, rng, tmp_path):
+    m = mesh()
+    nv, nt = m.num_vertices, m.num_triangles
+    point_data = {"u": rng.standard_normal(nv) * 1e-7, "label": np.arange(nv) - 5}
+    cell_data = {
+        "active": rng.random(nt) < 0.5,
+        "count": rng.integers(-3, 3, nt),
+        "xi": 10.0 ** rng.uniform(-12.0, 12.0, nt),
+        "single": rng.random(nt).astype(np.float32),
+    }
+    for args in ((point_data, cell_data), (None, cell_data), (point_data, None), (None, None)):
+        got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
+        write_vtk(got, m, *args)
+        oracles.write_vtk(want, m, *args)
+        assert got.read_bytes() == want.read_bytes()
 
 
 def test_history_csv_format(tmp_path):

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from hbflow.huber import (
     HuberParams,
+    _psi_of_magnitude,
     dual_field,
     evaluate_gradient,
     evaluate_objective,
-    huber_psi,
 )
 from hbflow.assembly import build_discrete_gradient, gradient_magnitudes
 from hbflow.mesh import make_mesh
@@ -34,6 +34,12 @@ def test_params_frozen():
     params = HuberParams(p=1.5, g=0.2, gamma=100.0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         params.gamma = 1.0
+
+
+def huber_psi(z, params):
+    """psi_gamma at a single 2-vector z."""
+    xi = np.array([np.hypot(*z)])
+    return float(_psi_of_magnitude(xi, params.g, params.gamma)[0])
 
 
 def test_psi_active_branch():

@@ -1,9 +1,11 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 import hbflow.linalg
+import hbflow.solver
 from hbflow.assembly import build_discrete_gradient, expand_dirichlet
 from hbflow.huber import HuberParams, evaluate_gradient, evaluate_objective
 from hbflow.mesh import make_mesh
@@ -12,9 +14,7 @@ from hbflow.solver import (
     SolverConfig,
     _Problem,
     continuation_solve,
-    lp_norm,
     solve,
-    solve_poisson_init,
     wp_seminorm,
 )
 from conftest import problem_arrays
@@ -29,9 +29,13 @@ def vertex_value(mesh, u, x, y):
     return full[idx]
 
 
+def poisson_start(mesh):
+    """The solver's initial iterate: the Poisson solution with load 1."""
+    return solve(mesh, SolverConfig(p=1.5, g=0.2, gamma=10.0, max_iters=0), 1.0).u
+
+
 def test_poisson_init_square_center(square16):
-    _, load = problem_arrays(square16, 1.0)
-    u0 = solve_poisson_init(square16, load)
+    u0 = poisson_start(square16)
     center = vertex_value(square16, u0, 0.5, 0.5)
     assert center == pytest.approx(oracles.poisson_square_center(), abs=2e-3)
     # lumped 5-point discretization keeps the discrete solution symmetric
@@ -42,8 +46,7 @@ def test_poisson_init_square_center(square16):
 
 def test_poisson_init_disk_peak(disk3):
     # -lap u = 1 on the unit disk: u = (1 - r^2)/4, peak 1/4 at the center
-    _, load = problem_arrays(disk3, 1.0)
-    u0 = solve_poisson_init(disk3, load)
+    u0 = poisson_start(disk3)
     full = expand_dirichlet(disk3, u0)
     assert np.max(full) == pytest.approx(0.25, abs=5e-3)
     assert np.all(full[disk3.boundary_vertex] == 0.0)
@@ -198,6 +201,33 @@ def test_thinning_direct_solve_refactors_every_iteration(square16, splu_calls):
     assert len(splu_calls) == 1 + out.iterations
 
 
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_thinning_solve_drops_the_laplacian_after_the_start(square16, splu_calls,
+                                                            monkeypatch, method):
+    assembled = []
+    real = hbflow.solver.assemble_weighted_stiffness
+
+    def recording(*args, **kwargs):
+        A = real(*args, **kwargs)
+        assembled.append(weakref.ref(A))
+        return A
+
+    monkeypatch.setattr(hbflow.solver, "assemble_weighted_stiffness", recording)
+    cfg = SolverConfig(p=1.5, g=0.2, gamma=100.0, max_iters=4,
+                       linear=LinearConfig(method=method))
+    problem = _Problem.build(square16, 1.0, cfg.linear)
+    out = solve(square16, cfg, 1.0, problem=problem)
+    assert out.iterations == 4
+    assert len(assembled) == 1 + out.iterations      # the Laplacian, then each P_k
+    assert len(splu_calls) == (1 + out.iterations if method == "direct" else 0)
+    # neither the Laplacian nor its factor outlives the Poisson start
+    assert "laplacian" not in vars(problem)
+    assert all(ref() is None for ref in assembled)
+    # p >= 2 keeps it for the directions
+    solve(square16, dataclasses.replace(cfg, p=4.0, max_iters=1), 1.0, problem=problem)
+    assert "laplacian" in vars(problem)
+
+
 def test_wp_seminorm_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = make_mesh(verts, np.array([[0, 1, 2]]))
@@ -208,11 +238,3 @@ def test_wp_seminorm_single_triangle():
     assert wp_seminorm(mesh, gradient, 2.0 * u, 3.0) == pytest.approx(
         2.0 * 0.5 ** (1 / 3), rel=1e-14
     )
-
-
-def test_lp_norm_square2(square2):
-    # one interior vertex touching 6 triangles of area 1/8: quadrature mass 1/4
-    u = np.array([1.0])
-    assert lp_norm(square2, u, 1.0) == pytest.approx(0.25, rel=1e-14)
-    assert lp_norm(square2, u, 2.0) == pytest.approx(0.5, rel=1e-14)
-    assert lp_norm(square2, -3.0 * u, 2.0) == pytest.approx(1.5, rel=1e-14)
