@@ -12,9 +12,6 @@ from .assembly import (
     build_discrete_gradient,
     expand_dirichlet,
     gradient_magnitudes,
-    weights_huber,
-    weights_plaplacian,
-    weights_preconditioner,
 )
 from .huber import (
     DualField,
@@ -59,9 +56,6 @@ __all__ = [
     "make_mesh",
     "build_discrete_gradient",
     "gradient_magnitudes",
-    "weights_preconditioner",
-    "weights_plaplacian",
-    "weights_huber",
     "assemble_weighted_stiffness",
     "assemble_load_vector",
     "expand_dirichlet",

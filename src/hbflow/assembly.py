@@ -7,7 +7,8 @@ indexing columns over interior vertices only, so boundary values are
 identically zero everywhere downstream.
 
 All stiffness matrices here share one structure, differing only in a
-nonnegative per-triangle weight w:
+nonnegative per-triangle weight w, which the caller supplies (the weights
+of the constitutive law are methods of ``huber.HuberParams``):
 
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
@@ -79,62 +80,8 @@ def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
     return np.hypot(g[:nt], g[nt:])
 
 
-def weights_preconditioner(xi: np.ndarray, p: float, epsilon: float) -> np.ndarray:
-    """Regularized singular weight (epsilon + xi)^(p-2), for 1 < p <= 2.
-
-    This is the preconditioner weight for the shear-thinning branch; the
-    epsilon shift keeps it finite at xi = 0. At p = 2 the weight is
-    identically one.
-    """
-    if not 1.0 < p <= 2.0:
-        raise AssemblyError(f"preconditioner weight needs 1 < p <= 2, got p={p}")
-    if epsilon <= 0.0:
-        raise AssemblyError(f"epsilon must be positive, got {epsilon}")
-    xi = np.asarray(xi, dtype=np.float64)
-    if np.any(xi < 0.0):
-        raise AssemblyError("xi must be nonnegative")
-    return (epsilon + xi) ** (p - 2.0)
-
-
-def weights_plaplacian(
-    xi: np.ndarray, p: float, zero_threshold: float = 1e-14
-) -> np.ndarray:
-    """p-Laplacian weight xi^(p-2) with the singular limit clamped to zero.
-
-    For p < 2 the weight blows up as xi -> 0; the continuum term
-    xi^(p-2) * grad u it multiplies still vanishes there, so triangles with
-    xi <= zero_threshold get weight zero, which reproduces that limit.
-    """
-    if p <= 1.0:
-        raise AssemblyError(f"p must be > 1, got {p}")
-    xi = np.asarray(xi, dtype=np.float64)
-    if np.any(xi < 0.0):
-        raise AssemblyError("xi must be nonnegative")
-    out = np.zeros_like(xi)
-    mask = xi > zero_threshold
-    out[mask] = xi[mask] ** (p - 2.0)
-    return out
-
-
-def weights_huber(xi: np.ndarray, g: float, gamma: float) -> np.ndarray:
-    """Huber multiplier weight g*gamma / max(g, gamma*xi).
-
-    Equals gamma below the threshold xi = g/gamma and decays like g/xi
-    beyond it, so weight * xi never exceeds g.
-    """
-    if g <= 0.0 or gamma <= 0.0:
-        raise AssemblyError(f"g and gamma must be positive, got g={g}, gamma={gamma}")
-    xi = np.asarray(xi, dtype=np.float64)
-    if np.any(xi < 0.0):
-        raise AssemblyError("xi must be nonnegative")
-    return g * gamma / np.maximum(g, gamma * xi)
-
-
 def assemble_weighted_stiffness(
-    mesh: Mesh,
-    weights: np.ndarray,
-    *,
-    gradient: sp.spmatrix | None = None,
+    mesh: Mesh, weights: np.ndarray, *, gradient: sp.csr_matrix
 ) -> sp.csr_matrix:
     """Stiffness matrix with one nonnegative weight per triangle.
 
@@ -143,9 +90,9 @@ def assemble_weighted_stiffness(
     mesh : Mesh
     weights : ndarray, shape (nt,)
         Per-triangle weights, finite and >= 0.
-    gradient : sparse matrix, optional
-        Matching discrete gradient; rebuilt from the mesh when omitted.
-        Passing the same one again reuses its scatter plan.
+    gradient : csr_matrix
+        The mesh's discrete gradient. Its scatter plan is built on the first
+        call and reused by every later call with the same matrix.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (mesh.num_triangles,):
@@ -154,8 +101,6 @@ def assemble_weighted_stiffness(
         )
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise AssemblyError("weights must be finite and nonnegative")
-    if gradient is None:
-        gradient = build_discrete_gradient(mesh)
     return _stiffness_pattern(gradient).assemble(gradient, weights * mesh.areas)
 
 

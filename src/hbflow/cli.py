@@ -85,14 +85,15 @@ def _coerce(name: str, raw: str):
         if low in _BOOL_FALSE:
             return False
         raise ConfigError(f"cannot parse boolean {name}={raw!r}")
-    if name in ("domain", "out", "preset"):
+    if name in ("domain", "out"):
         return raw
     return float(raw)
 
 
 def parse_config_file(path) -> dict:
     """key=value lines; blank lines and # comments ignored; dashes in keys
-    normalized to underscores."""
+    normalized to underscores. ``preset`` is not a key: a preset is applied
+    before the file is read, so only --preset can name one."""
     values: dict = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -105,6 +106,9 @@ def parse_config_file(path) -> dict:
         key = key.replace("-", "_")
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key == "preset":
+            raise ConfigError(f"{path}:{lineno}: a config file cannot set a preset, "
+                              "use --preset")
         try:
             values[key] = _coerce(key, raw)
         except ConfigError:

@@ -13,6 +13,10 @@ with xi the per-triangle gradient magnitude. Its gradient is assembled from
 the two weighted stiffness matrices (p-Laplacian weight and Huber weight);
 a direct per-triangle accumulation of the same sum lives only in the test
 suite as an oracle.
+
+:class:`HuberParams` holds the whole pointwise constitutive law as methods
+of xi: psi_gamma, the two flux weights, and the shear-thinning
+preconditioner weight (epsilon + xi)^(p-2). No other module evaluates them.
 """
 
 from __future__ import annotations
@@ -22,12 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (
-    assemble_weighted_stiffness,
-    gradient_magnitudes,
-    weights_huber,
-    weights_plaplacian,
-)
+from .assembly import assemble_weighted_stiffness, gradient_magnitudes
 from .mesh import Mesh
 
 
@@ -37,6 +36,8 @@ class HuberParams:
 
     epsilon only enters the shear-thinning preconditioner, but it travels
     with the rest because every solver component needs the same bundle.
+    The parameters are checked once, here, so the pointwise methods below
+    take any nonnegative xi array and check nothing.
     """
 
     p: float
@@ -58,14 +59,43 @@ class HuberParams:
         if self.epsilon <= 0.0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
+    def psi(self, xi: np.ndarray) -> np.ndarray:
+        """Huber function psi_gamma of the gradient magnitude xi."""
+        g, gamma = self.g, self.gamma
+        # np.where evaluates both branches; the quadratic one may overflow for
+        # huge xi even though only the linear branch is selected there
+        with np.errstate(over="ignore"):
+            return np.where(
+                gamma * xi >= g, g * xi - g * g / (2.0 * gamma), 0.5 * gamma * xi * xi
+            )
 
-def _psi_of_magnitude(xi: np.ndarray, g: float, gamma: float) -> np.ndarray:
-    # np.where evaluates both branches; the quadratic one may overflow for
-    # huge xi even though only the linear branch is selected there
-    with np.errstate(over="ignore"):
-        return np.where(
-            gamma * xi >= g, g * xi - g * g / (2.0 * gamma), 0.5 * gamma * xi * xi
-        )
+    def plaplacian_weight(self, xi: np.ndarray) -> np.ndarray:
+        """p-Laplacian weight xi^(p-2) with the singular limit clamped to zero.
+
+        For p < 2 the weight blows up as xi -> 0; the continuum term
+        xi^(p-2) * grad u it multiplies still vanishes there, so triangles
+        with xi <= 1e-14 get weight zero, which reproduces that limit.
+        """
+        out = np.zeros_like(xi)
+        mask = xi > 1e-14
+        out[mask] = xi[mask] ** (self.p - 2.0)
+        return out
+
+    def huber_weight(self, xi: np.ndarray) -> np.ndarray:
+        """Huber multiplier weight g*gamma / max(g, gamma*xi).
+
+        Equals gamma below the threshold xi = g/gamma and decays like g/xi
+        beyond it, so weight * xi never exceeds g.
+        """
+        return self.g * self.gamma / np.maximum(self.g, self.gamma * xi)
+
+    def preconditioner_weight(self, xi: np.ndarray) -> np.ndarray:
+        """Shear-thinning preconditioner weight (epsilon + xi)^(p-2).
+
+        Meant for 1 < p <= 2: the epsilon shift keeps it finite at xi = 0,
+        and at p = 2 it is identically one.
+        """
+        return (self.epsilon + xi) ** (self.p - 2.0)
 
 
 def evaluate_objective(
@@ -83,7 +113,7 @@ def evaluate_objective(
     xi = gradient_magnitudes(gradient, u)
     with np.errstate(over="ignore"):
         p_term = np.sum(mesh.areas * xi**params.p) / params.p
-    psi_term = np.sum(mesh.areas * _psi_of_magnitude(xi, params.g, params.gamma))
+    psi_term = np.sum(mesh.areas * params.psi(xi))
     return float(p_term + psi_term - load @ u)
 
 
@@ -100,12 +130,8 @@ def evaluate_gradient(
     g*gamma/max(g, gamma*xi), both evaluated at the current u.
     """
     xi = gradient_magnitudes(gradient, u)
-    a_u = assemble_weighted_stiffness(
-        mesh, weights_plaplacian(xi, params.p), gradient=gradient
-    )
-    a_max = assemble_weighted_stiffness(
-        mesh, weights_huber(xi, params.g, params.gamma), gradient=gradient
-    )
+    a_u = assemble_weighted_stiffness(mesh, params.plaplacian_weight(xi), gradient=gradient)
+    a_max = assemble_weighted_stiffness(mesh, params.huber_weight(xi), gradient=gradient)
     return a_u @ u + a_max @ u - load
 
 
@@ -127,7 +153,6 @@ def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams) -> Dua
     nt = gvec.shape[0] // 2
     gx, gy = gvec[:nt], gvec[nt:]
     xi = np.hypot(gx, gy)
-    denom = np.maximum(params.g, params.gamma * xi)
-    scale = params.g * params.gamma / denom
+    scale = params.huber_weight(xi)
     w = np.column_stack([scale * gx, scale * gy])
     return DualField(w=w, active=params.gamma * xi >= params.g)

@@ -33,7 +33,6 @@ from .assembly import (
     assemble_weighted_stiffness,
     build_discrete_gradient,
     gradient_magnitudes,
-    weights_preconditioner,
 )
 from .huber import DualField, HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from .linalg import factorize_spd, solve_spd
@@ -43,9 +42,7 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class LinearConfig:
-    tol: float = 1e-10
-    max_iter: int | None = None
-    method: str = "pcg"
+    method: str = "pcg"           # "pcg" or "direct"; see linalg.solve_spd
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,7 @@ class _Problem:
     laplacian = cached_property(_laplacian)    # for p >= 2, kept for the run
 
     def solve_linear(self, A: sp.spmatrix, b: np.ndarray, factor=None) -> np.ndarray:
-        lin = self.linear
-        x, _ = solve_spd(A, b, tol=lin.tol, max_iter=lin.max_iter, method=lin.method,
-                         factor=factor)
+        x, _ = solve_spd(A, b, method=self.linear.method, factor=factor)
         return x
 
     def poisson_start(self, p: float) -> np.ndarray:
@@ -151,8 +146,7 @@ class _Problem:
         if params.p >= 2.0:
             P, factor = self.laplacian
         else:
-            xi = gradient_magnitudes(self.gradient, u)
-            w = weights_preconditioner(xi, params.p, params.epsilon)
+            w = params.preconditioner_weight(gradient_magnitudes(self.gradient, u))
             P, factor = assemble_weighted_stiffness(self.mesh, w, gradient=self.gradient), None
         return self.solve_linear(P, -grad, factor), P
 
@@ -260,8 +254,10 @@ def continuation_solve(
     returning the partial history. The gradient, load, Laplacian and its
     factor do not depend on gamma and are built once for the whole ladder.
     """
-    if gamma_start <= 0.0 or factor <= 1.0 or gamma_end < gamma_start:
-        raise ValueError("need gamma_start > 0, factor > 1, gamma_end >= gamma_start")
+    if not (np.isfinite([gamma_start, factor, gamma_end]).all() and gamma_start > 0.0
+            and factor > 1.0 and gamma_end >= gamma_start):
+        raise ValueError(f"need finite gamma_start > 0, factor > 1 and gamma_end >= "
+                         f"gamma_start, got {gamma_start}, {factor}, {gamma_end}")
     problem = _Problem.build(mesh, f, config.linear)
     stages: list[tuple[float, SolveOutcome]] = []
     gamma = gamma_start

@@ -12,9 +12,6 @@ from hbflow.assembly import (
     build_discrete_gradient,
     expand_dirichlet,
     gradient_magnitudes,
-    weights_huber,
-    weights_plaplacian,
-    weights_preconditioner,
 )
 from hbflow.huber import HuberParams, evaluate_gradient
 from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
@@ -77,14 +74,15 @@ def test_local_stiffness_single_triangle():
 def test_five_point_stencil_value():
     # criss-cross P1 Laplacian reduces to the 5-point stencil: diagonal 4
     m = build_unit_square_mesh(2)
-    a = assemble_weighted_stiffness(m, np.ones(m.triangles.shape[0]))
+    a = assemble_weighted_stiffness(m, np.ones(m.triangles.shape[0]),
+                                    gradient=build_discrete_gradient(m))
     assert a.shape == (1, 1)
     assert a[0, 0] == pytest.approx(4.0, rel=1e-13)
 
 
 def test_stiffness_symmetry_and_psd(square4, rng):
     w = rng.uniform(0.5, 2.0, square4.triangles.shape[0])
-    a = assemble_weighted_stiffness(square4, w)
+    a = assemble_weighted_stiffness(square4, w, gradient=build_discrete_gradient(square4))
     assert (a - a.T).nnz == 0
     for _ in range(5):
         x = rng.standard_normal(a.shape[0])
@@ -94,9 +92,10 @@ def test_stiffness_symmetry_and_psd(square4, rng):
 def test_stiffness_linearity_in_weights(square3, rng):
     w1 = rng.uniform(0.1, 1.0, square3.triangles.shape[0])
     w2 = rng.uniform(0.1, 1.0, square3.triangles.shape[0])
-    a1 = assemble_weighted_stiffness(square3, w1)
-    a2 = assemble_weighted_stiffness(square3, w2)
-    a12 = assemble_weighted_stiffness(square3, w1 + w2)
+    g = build_discrete_gradient(square3)
+    a1 = assemble_weighted_stiffness(square3, w1, gradient=g)
+    a2 = assemble_weighted_stiffness(square3, w2, gradient=g)
+    a12 = assemble_weighted_stiffness(square3, w1 + w2, gradient=g)
     assert abs(a12 - (a1 + a2)).max() < 1e-12
 
 
@@ -104,52 +103,20 @@ def test_stiffness_accepts_precomputed_gradient(square3):
     g = build_discrete_gradient(square3)
     w = np.ones(square3.triangles.shape[0])
     a = assemble_weighted_stiffness(square3, w, gradient=g)
-    b = assemble_weighted_stiffness(square3, w)
-    assert abs(a - b).max() == 0.0
+    assert _bits_equal(a, assemble_weighted_stiffness(square3, w, gradient=g))
+    # G is required: a call that omits it would build a new G and plan
+    with pytest.raises(TypeError):
+        assemble_weighted_stiffness(square3, w)
 
 
 def test_stiffness_rejects_bad_weights(square3):
-    nt = square3.triangles.shape[0]
+    nt, g = square3.triangles.shape[0], build_discrete_gradient(square3)
     with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, -np.ones(nt))
+        assemble_weighted_stiffness(square3, -np.ones(nt), gradient=g)
     with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, np.full(nt, np.nan))
+        assemble_weighted_stiffness(square3, np.full(nt, np.nan), gradient=g)
     with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, np.ones(nt - 1))
-
-
-def test_weights_preconditioner_values():
-    xi = np.array([0.0, 1.0, 3.0])
-    w = weights_preconditioner(xi, 1.75, 1e-6)
-    assert w[0] == pytest.approx(31.6227766016838, rel=1e-12)  # (1e-6)^(-1/4)
-    assert w[1] == pytest.approx((1.0 + 1e-6) ** -0.25, rel=1e-14)
-    # p = 2 collapses to unit weights regardless of xi
-    assert np.allclose(weights_preconditioner(xi, 2.0, 1e-6), 1.0, atol=0.0)
-    with pytest.raises(AssemblyError):
-        weights_preconditioner(xi, 2.5, 1e-6)
-    with pytest.raises(AssemblyError):
-        weights_preconditioner(xi, 1.5, 0.0)
-
-
-def test_weights_plaplacian_values():
-    xi = np.array([0.0, 1e-15, 0.5, 2.0])
-    w = weights_plaplacian(xi, 1.5)
-    assert w[0] == 0.0 and w[1] == 0.0  # degenerate triangles drop out
-    assert w[2] == pytest.approx(0.5**-0.5, rel=1e-14)
-    assert w[3] == pytest.approx(2.0**-0.5, rel=1e-14)
-    w4 = weights_plaplacian(xi, 4.0)
-    assert w4[3] == pytest.approx(4.0, rel=1e-14)
-
-
-def test_weights_huber_branches():
-    g, gamma = 0.2, 1e3
-    xi = np.array([0.0, 1e-4, 2e-4, 1e-2])
-    w = weights_huber(xi, g, gamma)
-    assert w[0] == pytest.approx(gamma)          # inactive: slope gamma
-    assert w[1] == pytest.approx(gamma)
-    assert w[2] == pytest.approx(gamma)          # kink: both branches agree
-    assert w[3] == pytest.approx(g / 1e-2)       # active: g / xi
-    assert np.all(np.diff(w) <= 1e-12)           # monotone non-increasing in xi
+        assemble_weighted_stiffness(square3, np.ones(nt - 1), gradient=g)
 
 
 def test_load_vector_lumped_quadrature(square4):
@@ -217,9 +184,9 @@ def test_gradient_bits_equal_the_sparse_product(disk3, rng, p):
     x = disk3.vertices[disk3.interior_indices, 0]
     u = np.where(x > 0.0, 0.5 * rng.standard_normal(x.size), 0.0)
     xi = gradient_magnitudes(gradient, u)
-    assert np.any(weights_plaplacian(xi, p) == 0.0)
-    a_u = oracles.weighted_stiffness(disk3, weights_plaplacian(xi, p), gradient)
-    a_max = oracles.weighted_stiffness(disk3, weights_huber(xi, 0.2, 50.0), gradient)
+    assert np.any(params.plaplacian_weight(xi) == 0.0)
+    a_u = oracles.weighted_stiffness(disk3, params.plaplacian_weight(xi), gradient)
+    a_max = oracles.weighted_stiffness(disk3, params.huber_weight(xi), gradient)
     want = a_u @ u + a_max @ u - load
     got = evaluate_gradient(disk3, gradient, u, params, load)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbflow.cli
+import hbflow.solver
 from hbflow.cli import (
     PRESETS,
     ConfigError,
@@ -50,6 +52,7 @@ g=0.25
     "p = abc",             # unparseable float
     "just a line",         # no key=value shape
     "continuation = maybe",
+    "preset = exp1-thickening",  # would label the run with a preset it did not apply
 ])
 def test_parse_config_file_rejects(tmp_path, line):
     cfg = write(tmp_path / "bad.cfg", line + "\n")
@@ -116,6 +119,23 @@ def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()     # a rejected run leaves no output directory
 
 
+@pytest.mark.parametrize("line", ["gamma_end = nan", "gamma_end = inf", "gamma_start = nan"])
+def test_nonfinite_ladder_is_config_error(tmp_path, capsys, monkeypatch, line):
+    def stage(*args, **kwargs):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(hbflow.solver, "solve", stage)
+    cfg = write(tmp_path / "ladder.cfg", f"continuation = true\n{line}\n")
+    out = tmp_path / "out"
+    argv = ["run", "--config", cfg, "--domain", "square", "--n", "6", "--max-iters", "1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: need finite gamma_start > 0")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -152,6 +172,10 @@ FLOAT_FLAGS = {
     "f": (-5.0, 5.0), "tol": (1e-8, 1e-2), "sigma1": (1e-6, 0.24),
 }
 EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300"]
+# the gamma ladder's ends, which only a --config file sets; large finite
+# extremes are left out because they make ladders hundreds of stages long
+LADDER_KEYS = {"gamma_start": (1.0, 1e3), "gamma_end": (1.0, 1e6)}
+LADDER_EXTREMES = ["nan", "inf", "-inf", "0", "-1"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,14 +191,21 @@ EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300"]
     }),
     extreme=st.dictionaries(st.sampled_from(sorted(FLOAT_FLAGS)), st.sampled_from(EXTREMES),
                             max_size=2),
+    ladder=st.fixed_dictionaries({
+        name: st.one_of(st.floats(min_value=low, max_value=high).map(repr),
+                        st.sampled_from(LADDER_EXTREMES))
+        for name, (low, high) in LADDER_KEYS.items()
+    }),
 )
 def test_every_run_manifest_exits_with_a_documented_code(
-    domain, n, level, max_iters, continuation, valid, extreme
+    domain, n, level, max_iters, continuation, valid, extreme, ladder
 ):
     # flags go as --flag=value, or argparse would read "-1" as an option
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["run", f"--domain={domain}", f"--n={n}", f"--level={level}",
-                f"--max-iters={max_iters}", f"--out={tmp}/out",
+        cfg = write(Path(tmp) / "ladder.cfg",
+                    "".join(f"{name} = {value}\n" for name, value in ladder.items()))
+        argv = ["run", f"--config={cfg}", f"--domain={domain}", f"--n={n}",
+                f"--level={level}", f"--max-iters={max_iters}", f"--out={tmp}/out",
                 *(f"--{name}={value}" for name, value in {**valid, **extreme}.items())]
         if continuation:
             argv.append("--continuation")

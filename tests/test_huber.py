@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hbflow.huber import (
-    HuberParams,
-    _psi_of_magnitude,
-    dual_field,
-    evaluate_gradient,
-    evaluate_objective,
-)
+from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from hbflow.assembly import build_discrete_gradient, gradient_magnitudes
 from hbflow.mesh import make_mesh
 from conftest import problem_arrays
@@ -39,7 +33,7 @@ def test_params_frozen():
 def huber_psi(z, params):
     """psi_gamma at a single 2-vector z."""
     xi = np.array([np.hypot(*z)])
-    return float(_psi_of_magnitude(xi, params.g, params.gamma)[0])
+    return float(params.psi(xi)[0])
 
 
 def test_psi_active_branch():
@@ -82,6 +76,37 @@ def test_psi_convex_and_monotone_along_rays(r1, r2):
     assert f_lo >= 0.0
     assert f_lo <= f_hi + 1e-15
     assert f_mid <= 0.5 * (f_lo + f_hi) + 1e-12
+
+
+def test_preconditioner_weight_values():
+    xi = np.array([0.0, 1.0, 3.0])
+    w = HuberParams(p=1.75, g=0.2, gamma=1e3, epsilon=1e-6).preconditioner_weight(xi)
+    assert w[0] == pytest.approx(31.6227766016838, rel=1e-12)  # (1e-6)^(-1/4)
+    assert w[1] == pytest.approx((1.0 + 1e-6) ** -0.25, rel=1e-14)
+    # p = 2 collapses to unit weights regardless of xi
+    params = HuberParams(p=2.0, g=0.2, gamma=1e3, epsilon=1e-6)
+    assert np.allclose(params.preconditioner_weight(xi), 1.0, atol=0.0)
+
+
+def test_plaplacian_weight_values():
+    xi = np.array([0.0, 1e-15, 0.5, 2.0])
+    w = HuberParams(p=1.5, g=0.2, gamma=1e3).plaplacian_weight(xi)
+    assert w[0] == 0.0 and w[1] == 0.0  # degenerate triangles drop out
+    assert w[2] == pytest.approx(0.5**-0.5, rel=1e-14)
+    assert w[3] == pytest.approx(2.0**-0.5, rel=1e-14)
+    w4 = HuberParams(p=4.0, g=0.2, gamma=1e3).plaplacian_weight(xi)
+    assert w4[3] == pytest.approx(4.0, rel=1e-14)
+
+
+def test_huber_weight_branches():
+    g, gamma = 0.2, 1e3
+    xi = np.array([0.0, 1e-4, 2e-4, 1e-2])
+    w = HuberParams(p=1.5, g=g, gamma=gamma).huber_weight(xi)
+    assert w[0] == pytest.approx(gamma)          # inactive: slope gamma
+    assert w[1] == pytest.approx(gamma)
+    assert w[2] == pytest.approx(gamma)          # kink: both branches agree
+    assert w[3] == pytest.approx(g / 1e-2)       # active: g / xi
+    assert np.all(np.diff(w) <= 1e-12)           # monotone non-increasing in xi
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 4.0])

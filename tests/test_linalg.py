@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hbflow.assembly import assemble_weighted_stiffness
+from hbflow.assembly import assemble_weighted_stiffness, build_discrete_gradient
 from hbflow.linalg import LinearSolveError, factorize_spd, solve_spd
 
 
 def poisson_matrix(mesh):
-    return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]))
+    return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]),
+                                       gradient=build_discrete_gradient(mesh))
 
 
 @pytest.mark.parametrize("method", ["pcg", "direct"])

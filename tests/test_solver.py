@@ -155,6 +155,11 @@ def test_continuation_validates_ladder(square4):
         continuation_solve(square4, cfg, 1.0, factor=1.0)
     with pytest.raises(ValueError):
         continuation_solve(square4, cfg, 1.0, gamma_start=100.0, gamma_end=10.0)
+    # rejected before the first stage, not after gamma overflows
+    for name in ("gamma_start", "factor", "gamma_end"):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="need finite"):
+                continuation_solve(square4, cfg, 1.0, **{name: bad})
 
 
 @pytest.fixture
