@@ -25,12 +25,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .assembly import build_discrete_gradient, expand_dirichlet, gradient_magnitudes
+from .assembly import expand_dirichlet
 from .export import write_history_csv, write_vtk
 from .linalg import LinearSolveError
 from .linesearch import LineSearchConfig, LineSearchError
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .solver import SolveOutcome, SolverConfig, continuation_solve, solve, wp_seminorm
+from .solver import SolveOutcome, SolverConfig, _wp_seminorm, continuation_solve, solve
 
 
 class ConfigError(ValueError):
@@ -176,8 +176,6 @@ def _stage_summary(gamma: float, outcome: SolveOutcome) -> dict:
 def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
                    stages: list, wall_time: float, error: str | None) -> dict:
     final = stages[-1][1]
-    G = build_discrete_gradient(mesh)
-    xi = gradient_magnitudes(G, final.u)
     if len(stages) == 1:
         write_history_csv(outdir / "history.csv", final.history)
     else:
@@ -191,7 +189,7 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
         mesh,
         point_data={"u": expand_dirichlet(mesh, final.u)},
         cell_data={
-            "grad_norm": xi,
+            "grad_norm": final.dual.xi,
             "active": final.dual.active.astype(np.int64),
             "multiplier_norm": np.linalg.norm(final.dual.w, axis=1),
         },
@@ -220,13 +218,21 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
         "final_objective": final.final_objective,
         "final_rel_residual": final.final_rel_residual,
         "u_euclidean_norm": float(np.linalg.norm(final.u)),
-        "wp_seminorm": wp_seminorm(mesh, G, final.u, manifest.p),
+        "wp_seminorm": _wp_seminorm(mesh, final.dual.xi, manifest.p),
         "stages": [_stage_summary(gamma, outcome) for gamma, outcome in stages],
         "error": error,
         "wall_time_seconds": wall_time,
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
+
+
+def _make_outdir(out: str) -> Path:
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IOError(f"cannot create output directory {out!r}: {exc}") from exc
+    return Path(out)
 
 
 def run_single(manifest: RunManifest) -> tuple[int, dict]:
@@ -249,17 +255,16 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     if bad:
         error = bad[0].failure_reason or "iteration limit reached before tolerance"
     # created only now, so a run the solver rejects leaves no directory behind
-    outdir = Path(manifest.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {manifest.out!r}: {exc}") from exc
+    outdir = _make_outdir(manifest.out)
     summary = _write_outputs(outdir, manifest, mesh, stages, wall, error)
     return (0 if not bad else 1), summary
 
 
-def _parse_list(raw: str, cast) -> list:
-    return [cast(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_list(name: str, raw: str, cast) -> list:
+    values = [cast(tok) for tok in raw.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"--{name}-list has no values")
+    return values
 
 
 def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
@@ -267,13 +272,9 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     lists = (("g", args.g_list, float), ("p", args.p_list, float),
              ("gamma", args.gamma_list, float), ("n", args.n_list, int),
              ("level", args.level_list, int))
-    axes = [(name, _parse_list(raw, cast)) for name, raw, cast in lists if raw]
-
-    base_out = Path(manifest.out)
-    try:
-        base_out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IOError(f"cannot create output directory {manifest.out!r}: {exc}") from exc
+    axes = [(name, _parse_list(name, raw, cast)) for name, raw, cast in lists
+            if raw is not None]
+    base_out = _make_outdir(manifest.out)
 
     names = [name for name, _ in axes]
     rows = []

@@ -137,7 +137,7 @@ def evaluate_gradient(
 
 @dataclass(frozen=True)
 class DualField:
-    """Per-triangle multiplier w and active flags.
+    """Per-triangle multiplier w, active flags and |grad u|.
 
     w approximates the dual variable of the plasticity term; |w| <= g
     everywhere, with equality exactly on the active (flowing) triangles.
@@ -145,14 +145,15 @@ class DualField:
 
     w: np.ndarray        # (nt, 2)
     active: np.ndarray   # (nt,) bool, gamma*xi >= g
+    xi: np.ndarray       # (nt,) |grad u| at the u the field was computed from
 
 
 def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams) -> DualField:
-    """Multiplier w = g*gamma*grad(u)/max(g, gamma*|grad u|) and active set."""
+    """Multiplier w = g*gamma*grad(u)/max(g, gamma*|grad u|), active set and |grad u|."""
     gvec = gradient @ u
     nt = gvec.shape[0] // 2
     gx, gy = gvec[:nt], gvec[nt:]
     xi = np.hypot(gx, gy)
     scale = params.huber_weight(xi)
     w = np.column_stack([scale * gx, scale * gy])
-    return DualField(w=w, active=params.gamma * xi >= params.g)
+    return DualField(w=w, active=params.gamma * xi >= params.g, xi=xi)

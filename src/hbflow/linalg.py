@@ -1,11 +1,11 @@
 """Sparse SPD solves: Jacobi-preconditioned CG or a sparse LU factor.
 
-The default linear solver is conjugate gradients with a Jacobi (diagonal)
-preconditioner at a tight relative tolerance. The direct path solves with a
-sparse LU factor; callers whose matrix does not change, such as the
-shear-thickening descent loop with its fixed Laplacian, factor it once with
-:func:`factorize_spd` and pass the factor to every solve. Every solve
-verifies its own residual with an independent matvec before returning.
+A factor means a direct solve: :func:`solve_spd` solves with the factor it is
+given, and without one runs conjugate gradients with a Jacobi (diagonal)
+preconditioner at a tight relative tolerance. The solver's ``_Problem``
+decides which systems get a factor and builds each with :func:`factorize_spd`.
+Every solve verifies its own residual with an independent matvec before
+returning.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ def solve_spd(
     A: sp.spmatrix,
     b: np.ndarray,
     tol: float = 1e-10,
-    max_iter: int | None = None,
-    method: str = "pcg",
     factor: spla.SuperLU | None = None,
 ) -> tuple[np.ndarray, SpdSolveReport]:
     """Solve A x = b for symmetric positive definite sparse A.
@@ -55,19 +53,15 @@ def solve_spd(
     b : ndarray, shape (n,)
     tol : float
         Relative residual target ||Ax - b|| / ||b||.
-    max_iter : int, optional
-        Iteration cap for the iterative path; defaults to 10 n.
-    method : {"pcg", "direct"}
-        Jacobi-preconditioned conjugate gradients, or sparse LU.
     factor : SuperLU, optional
-        ``factorize_spd(A)`` computed earlier, reused by the direct path
-        instead of factoring A again. Only valid with ``method="direct"``.
+        ``factorize_spd(A)`` to solve with; without one the solve is
+        Jacobi-preconditioned CG, capped at 10 n iterations per restart.
 
     Returns
     -------
     (x, SpdSolveReport)
-        The report's residual is recomputed from A @ x, not taken from the
-        iteration recurrence.
+        The report's method is "direct" or "pcg"; its residual is recomputed
+        from A @ x, not taken from the iteration recurrence.
 
     Raises
     ------
@@ -77,21 +71,18 @@ def solve_spd(
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
         raise ValueError(f"shape mismatch: A {A.shape}, b {b.shape}")
-    if factor is not None and (method != "direct" or factor.shape != A.shape):
-        raise ValueError(f"a factor of shape {factor.shape} does not fit a {method!r} "
-                         f"solve with A {A.shape}")
+    if factor is not None and factor.shape != A.shape:
+        raise ValueError(f"a factor of shape {factor.shape} does not fit A {A.shape}")
+    method = "pcg" if factor is None else "direct"
     t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros(n), SpdSolveReport(method, 0, 0.0, time.perf_counter() - t0)
 
-    if max_iter is None:
-        max_iter = 10 * n
-
-    if method == "direct":
-        x = (factor if factor is not None else factorize_spd(A)).solve(b)
+    if factor is not None:
+        x = factor.solve(b)
         iterations = 0
-    elif method == "pcg":
+    else:
         diag = A.diagonal()
         if np.any(diag <= 0.0):
             raise ValueError("matrix has a non-positive diagonal entry, not SPD")
@@ -105,13 +96,11 @@ def solve_spd(
         x = np.zeros(n)
         # a couple of warm restarts absorb recurrence drift near tolerance
         for _ in range(3):
-            x, info = spla.cg(A, b, x0=x, rtol=tol, atol=0.0, maxiter=max_iter,
+            x, info = spla.cg(A, b, x0=x, rtol=tol, atol=0.0, maxiter=10 * n,
                               M=M, callback=tick)
             if float(np.linalg.norm(A @ x - b)) / bnorm <= tol:
                 break
         iterations = count
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     rel = float(np.linalg.norm(A @ x - b)) / bnorm
     report = SpdSolveReport(method, iterations, rel, time.perf_counter() - t0)

@@ -11,7 +11,8 @@ phi(0), phi'(0) and the two most recent trials (:func:`cubic_step`). Every
 model minimizer is clamped into [0.1, 0.5] times the previous trial, so trial
 steps decrease strictly but never collapse too fast (Dennis & Schnabel,
 *Numerical Methods for Unconstrained Optimization and Nonlinear Equations*,
-1996, section 6.3.2). No curvature condition is evaluated.
+1996, section 6.3.2). No curvature condition is evaluated. Like the clamp,
+the give-up limits ``MIN_STEP`` and ``MAX_BACKTRACKS`` are fixed.
 """
 
 from __future__ import annotations
@@ -22,6 +23,10 @@ from typing import Callable
 import numpy as np
 
 
+MIN_STEP = 1e-12        # give up rather than try a step below this
+MAX_BACKTRACKS = 30     # give up after this many rejected backtracks
+
+
 class LineSearchError(RuntimeError):
     """Misuse (non-descent direction, coincident trial points) or NaN phi."""
 
@@ -29,14 +34,10 @@ class LineSearchError(RuntimeError):
 @dataclass(frozen=True)
 class LineSearchConfig:
     sigma1: float = 1e-4          # Armijo slope fraction, must be < 1/4 for the cubic
-    min_step: float = 1e-12       # give up below this
-    max_backtracks: int = 30
 
     def __post_init__(self):
         if not 0.0 < self.sigma1 < 0.25:
             raise ValueError(f"sigma1 must be in (0, 1/4), got {self.sigma1}")
-        if self.min_step <= 0.0 or self.max_backtracks < 1:
-            raise ValueError("min_step must be positive and max_backtracks >= 1")
 
 
 @dataclass
@@ -166,24 +167,20 @@ def backtracking_search(
     alpha = 1.0
     val = evaluate(alpha)
     trials = [alpha]
-    backtracks = 0
     prev: tuple[float, float] | None = None  # the trial before the most recent one
 
     while not armijo(alpha, val):
-        backtracks += 1
-        if backtracks > cfg.max_backtracks:
-            return LineSearchResult(alpha, val, len(trials), backtracks - 1,
-                                    "step-too-small", trials)
         if prev is None:
             new_alpha = quadratic_step(phi0, dphi0, val)
         else:
             new_alpha = cubic_step(phi0, dphi0, alpha, val, *prev)
-        if new_alpha < cfg.min_step:
-            return LineSearchResult(alpha, val, len(trials), backtracks,
+        # all len(trials) trials were rejected, len(trials) - 1 of them backtracks
+        if len(trials) > MAX_BACKTRACKS or new_alpha < MIN_STEP:
+            return LineSearchResult(alpha, val, len(trials), len(trials),
                                     "step-too-small", trials)
         prev = (alpha, val)
         alpha = new_alpha
         val = evaluate(alpha)
         trials.append(alpha)
 
-    return LineSearchResult(alpha, val, len(trials), backtracks, "accepted", trials)
+    return LineSearchResult(alpha, val, len(trials), len(trials) - 1, "accepted", trials)

@@ -8,9 +8,10 @@ direction, where the preconditioner depends on the flow index:
 * shear-thickening (p >= 2, including the Bingham case p = 2): P_k is the
   plain Laplacian stiffness matrix, the H^1_0 Riesz map.
 
-The Laplacian depends on neither gamma nor the iterate. For p >= 2 it is
-assembled, and factored for the direct method, once per run or ladder, and
-the Poisson start shares it; for p < 2 only that start uses it.
+``_Problem`` assembles every system matrix and factors it for the direct
+method only. The Laplacian depends on neither gamma nor the iterate: for
+p >= 2 it is built once per run or ladder and shared with the Poisson start;
+for p < 2 only that start uses it.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -42,7 +43,11 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class LinearConfig:
-    method: str = "pcg"           # "pcg" or "direct"; see linalg.solve_spd
+    method: str = "pcg"           # "pcg", or "direct": _Problem factors every system
+
+    def __post_init__(self):
+        if self.method not in ("pcg", "direct"):
+            raise ValueError(f"linear method must be 'pcg' or 'direct', got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -60,8 +65,9 @@ class SolverConfig:
         self.huber_params()   # validates p, g, gamma and epsilon
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 0):
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
 
     def huber_params(self) -> HuberParams:
         return HuberParams(p=self.p, g=self.g, gamma=self.gamma, epsilon=self.epsilon)
@@ -119,21 +125,20 @@ class _Problem:
     def build(cls, mesh: Mesh, f, linear: LinearConfig) -> _Problem:
         return cls(mesh, build_discrete_gradient(mesh), assemble_load_vector(mesh, f), linear)
 
-    def _laplacian(self):
-        A = assemble_weighted_stiffness(self.mesh, np.ones(self.mesh.num_triangles),
-                                        gradient=self.gradient)
+    def _system(self, weights: np.ndarray):
+        """Weighted stiffness, with its LU factor for the direct method only."""
+        A = assemble_weighted_stiffness(self.mesh, weights, gradient=self.gradient)
         return A, factorize_spd(A) if self.linear.method == "direct" else None
 
-    laplacian = cached_property(_laplacian)    # for p >= 2, kept for the run
+    def _laplacian(self):
+        return self._system(np.ones(self.mesh.num_triangles))
 
-    def solve_linear(self, A: sp.spmatrix, b: np.ndarray, factor=None) -> np.ndarray:
-        x, _ = solve_spd(A, b, method=self.linear.method, factor=factor)
-        return x
+    laplacian = cached_property(_laplacian)    # for p >= 2, kept for the run
 
     def poisson_start(self, p: float) -> np.ndarray:
         # for p < 2 no direction uses the Laplacian: it is dropped after
         A, factor = self.laplacian if p >= 2.0 else self._laplacian()
-        return self.solve_linear(A, self.load, factor)
+        return solve_spd(A, self.load, factor=factor)[0]
 
     def descent_direction(self, u: np.ndarray, params: HuberParams, grad: np.ndarray):
         """w solving P_k w = -J'(u), and P_k.
@@ -146,9 +151,9 @@ class _Problem:
         if params.p >= 2.0:
             P, factor = self.laplacian
         else:
-            w = params.preconditioner_weight(gradient_magnitudes(self.gradient, u))
-            P, factor = assemble_weighted_stiffness(self.mesh, w, gradient=self.gradient), None
-        return self.solve_linear(P, -grad, factor), P
+            P, factor = self._system(
+                params.preconditioner_weight(gradient_magnitudes(self.gradient, u)))
+        return solve_spd(P, -grad, factor=factor)[0], P
 
 
 def solve(
@@ -277,5 +282,9 @@ def continuation_solve(
 
 def wp_seminorm(mesh: Mesh, gradient: sp.spmatrix, u: np.ndarray, p: float) -> float:
     """Discrete W^{1,p} seminorm (sum of area * xi^p)^(1/p)."""
-    xi = gradient_magnitudes(gradient, u)
+    return _wp_seminorm(mesh, gradient_magnitudes(gradient, u), p)
+
+
+def _wp_seminorm(mesh: Mesh, xi: np.ndarray, p: float) -> float:
+    """The W^{1,p} seminorm from the per-triangle magnitudes xi = |grad u|."""
     return float(np.sum(mesh.areas * xi**p) ** (1.0 / p))

@@ -312,3 +312,18 @@ def test_sweep_aggregates(tmp_path, capsys):
         assert (out / "runs" / tag / "summary.json").exists()
         run_summary = json.loads((out / "runs" / tag / "summary.json").read_text())
         assert run_summary["converged"] is True
+
+
+@pytest.mark.parametrize("flag, value", [("--g-list", ","), ("--n-list", ""),
+                                         ("--gamma-list", " , ")])
+def test_sweep_empty_value_list_is_config_error(tmp_path, capsys, monkeypatch, flag, value):
+    def single(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(hbflow.cli, "run_single", single)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--domain", "square", "--n", "4", flag, value, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: {flag} has no values\n"
+    assert not out.exists()

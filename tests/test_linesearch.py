@@ -4,6 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hbflow.linesearch import (
+    MAX_BACKTRACKS,
+    MIN_STEP,
     LineSearchConfig,
     LineSearchError,
     backtracking_search,
@@ -15,8 +17,6 @@ from hbflow.linesearch import (
 def test_config_validation():
     with pytest.raises(ValueError):
         LineSearchConfig(sigma1=0.25)
-    with pytest.raises(ValueError):
-        LineSearchConfig(max_backtracks=0)
 
 
 def test_quadratic_step_interior():
@@ -110,21 +110,31 @@ def test_search_rejects_non_descent_slope():
 
 
 def test_search_gives_up_after_max_backtracks():
-    cfg = LineSearchConfig(max_backtracks=5)
-    res = backtracking_search(lambda a: 1.0, phi0=1.0, dphi0=-1.0, config=cfg)
+    # a flat phi rejects every trial; each step shrinks by at most half, so
+    # the cap stops the search before the steps reach MIN_STEP
+    res = backtracking_search(lambda a: 1.0, phi0=1.0, dphi0=-1.0)
     assert res.status == "step-too-small"
-    assert res.backtracks == 5
-    assert res.evaluations == 6
-    assert res.alpha == res.trials[-1]
-    assert 0.1**5 <= res.alpha <= 0.5**5
+    assert res.evaluations == MAX_BACKTRACKS + 1
+    assert res.backtracks == MAX_BACKTRACKS + 1     # every trial, the unit step too
+    assert res.alpha == res.trials[-1]              # last trial actually evaluated
+    assert MIN_STEP <= res.alpha <= 0.5**MAX_BACKTRACKS
+    # the step floor was not what stopped it
+    assert cubic_step(1.0, -1.0, res.trials[-1], 1.0, res.trials[-2], 1.0) >= MIN_STEP
 
 
 def test_search_gives_up_below_min_step():
-    cfg = LineSearchConfig(min_step=0.3)
-    res = backtracking_search(lambda a: 1.0, phi0=1.0, dphi0=-1.0, config=cfg)
+    # a steep phi shrinks the trial steps fast enough that the next model
+    # step falls below MIN_STEP before the backtrack cap is reached
+    phi = lambda a: 1.0 + 1e6 * a * a
+    res = backtracking_search(phi, phi0=1.0, dphi0=-1.0)
     assert res.status == "step-too-small"
-    assert res.evaluations == 2
-    assert res.alpha == 0.5  # last trial actually evaluated
+    assert res.evaluations == 22
+    assert res.backtracks == 22
+    assert res.alpha == res.trials[-1]              # last trial actually evaluated
+    assert MIN_STEP <= res.alpha < 10 * MIN_STEP    # the clamp keeps the next step >= 0.1 alpha
+    next_step = cubic_step(1.0, -1.0, res.trials[-1], phi(res.trials[-1]),
+                           res.trials[-2], phi(res.trials[-2]))
+    assert next_step < MIN_STEP
 
 
 def test_search_safeguards_trial_ratios():

@@ -113,6 +113,16 @@ def test_solve_rejects_bad_warm_start(square4):
         solve(square4, cfg, 1.0, u0=np.zeros(square4.num_interior + 1))
 
 
+def test_config_validation():
+    for bad in (2.5, True, -1, "3"):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(p=1.5, g=0.2, gamma=10.0, max_iters=bad)
+    assert SolverConfig(p=1.5, g=0.2, gamma=10.0, max_iters=np.int64(3)).max_iters == 3
+    for bad in ("gmres", "lu"):
+        with pytest.raises(ValueError, match="linear method"):
+            LinearConfig(method=bad)
+
+
 def test_solve_iteration_cap_is_not_a_failure(square16):
     cfg = SolverConfig(p=1.5, g=0.2, gamma=1000.0, max_iters=2)
     out = solve(square16, cfg, 1.0)
