@@ -135,6 +135,9 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     }
     if explicit:
         manifest = dataclasses.replace(manifest, **explicit)
+    if not manifest.out.strip():
+        # an empty path would write every output into the current directory
+        raise ConfigError(f"output directory must not be empty, got {manifest.out!r}")
     return manifest
 
 

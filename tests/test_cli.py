@@ -327,3 +327,23 @@ def test_sweep_empty_value_list_is_config_error(tmp_path, capsys, monkeypatch, f
     err = capsys.readouterr().err
     assert err == f"configuration error: {flag} has no values\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("source", ["flag-empty", "flag-blank", "config-empty"])
+def test_empty_out_is_config_error(tmp_path, capsys, monkeypatch, command, source):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    argv = [command, "--domain", "square", "--n", "4", "--max-iters", "1"]
+    if command == "sweep":
+        argv += ["--g-list", "0.1,0.2"]
+    if source == "config-empty":
+        argv += ["--config", write(tmp_path / "run.cfg", "out =\n")]
+    else:
+        argv += ["--out", "" if source == "flag-empty" else "  "]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: output directory must not be empty")
+    assert err.count("\n") == 1
+    assert list(cwd.iterdir()) == []     # nothing written into the working directory

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from hbflow import export
 from hbflow.export import CSV_HEADER, write_history_csv, write_vtk
 from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh
 from hbflow.solver import IterationRecord
@@ -66,24 +69,76 @@ def test_vtk_rejects_wrong_field_length(square2, tmp_path):
                   cell_data={"xi": np.zeros(square2.num_triangles - 1)})
 
 
+def with_specials(values, specials):
+    """values with its first entries replaced by specials, dtype kept."""
+    values = values.copy()
+    values[:len(specials)] = specials
+    return values
+
+
+# built in their own dtype: a cast that overflows would warn, and tier-1
+# turns RuntimeWarning into an error
+F64_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                         2.2250738585072014e-308, 0.1, 1.0 / 3.0])
+F32_SPECIALS = np.array([np.float32(np.nan), np.float32(np.inf), np.float32(-np.inf),
+                         np.float32(-0.0), np.finfo(np.float32).smallest_subnormal,
+                         np.finfo(np.float32).max, np.float32(0.1)], dtype=np.float32)
+F16_SPECIALS = np.array([np.float16(np.nan), np.float16(np.inf), np.float16(-np.inf),
+                         np.float16(-0.0), np.finfo(np.float16).smallest_subnormal,
+                         np.finfo(np.float16).max, np.float16(0.1)], dtype=np.float16)
+I64_EXTREMES = np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0])
+
+
 @pytest.mark.parametrize("mesh", [lambda: build_unit_disk_mesh(3),
                                   lambda: build_unit_square_mesh(50)],   # 5000 rows: two blocks
                          ids=["disk3", "square50"])
-def test_vtk_bytes_equal_the_joined_writer(mesh, rng, tmp_path):
+def test_vtk_bytes_equal_the_joined_writer(mesh, rng, tmp_path, monkeypatch):
     m = mesh()
     nv, nt = m.num_vertices, m.num_triangles
-    point_data = {"u": rng.standard_normal(nv) * 1e-7, "label": np.arange(nv) - 5}
+    point_data = {
+        "u": with_specials(rng.standard_normal(nv) * 1e-7, F64_SPECIALS),
+        "label": with_specials(np.arange(nv) - 5, I64_EXTREMES),
+        "half": with_specials(rng.random(nv).astype(np.float16), F16_SPECIALS),
+    }
     cell_data = {
         "active": rng.random(nt) < 0.5,
-        "count": rng.integers(-3, 3, nt),
-        "xi": 10.0 ** rng.uniform(-12.0, 12.0, nt),
-        "single": rng.random(nt).astype(np.float32),
+        "count": with_specials(rng.integers(-3, 3, nt), I64_EXTREMES),
+        "xi": with_specials(10.0 ** rng.uniform(-12.0, 12.0, nt), F64_SPECIALS[::-1]),
+        "single": with_specials(rng.random(nt).astype(np.float32), F32_SPECIALS),
+        "byte": with_specials(rng.integers(0, 256, nt).astype(np.uint8),
+                              np.array([0, 255], dtype=np.uint8)),
+        "unsigned": np.full(nt, np.iinfo(np.uint64).max),
     }
+    want = tmp_path / "want.vtk"
     for args in ((point_data, cell_data), (None, cell_data), (point_data, None), (None, None)):
-        got, want = tmp_path / "got.vtk", tmp_path / "want.vtk"
-        write_vtk(got, m, *args)
         oracles.write_vtk(want, m, *args)
-        assert got.read_bytes() == want.read_bytes()
+        for rows_per_write in (1, 7, 4096):
+            monkeypatch.setattr(export, "_ROWS_PER_WRITE", rows_per_write)
+            got = tmp_path / f"got{rows_per_write}.vtk"
+            write_vtk(got, m, *args)
+            assert got.read_bytes() == want.read_bytes(), rows_per_write
+
+
+@pytest.mark.parametrize("kind, name, dtype", [
+    ("cell", "xi", complex),
+    ("cell", "label", str),
+    ("cell", "obj", object),
+    ("cell", "when", "datetime64[s]"),
+    ("point", "", float),
+    ("point", "two words", float),
+    ("point", "tab\tname", float),
+    ("point", "\u00fc", float),
+    ("point", 3, float),
+], ids=["complex", "str", "object", "datetime", "empty-name", "space", "tab", "non-ascii",
+        "int-name"])
+def test_vtk_rejects_unreadable_fields_before_opening(square2, tmp_path, kind, name, dtype):
+    path = tmp_path / "bad.vtk"
+    nv, nt = square2.num_vertices, square2.num_triangles
+    fields = {"point_data": {"u": np.zeros(nv)}, "cell_data": {"ok": np.zeros(nt)}}
+    fields[f"{kind}_data"][name] = np.zeros(nv if kind == "point" else nt, dtype=dtype)
+    with pytest.raises(ValueError, match=re.escape(f"{kind} field {name!r}")):
+        write_vtk(path, square2, **fields)
+    assert not path.exists()
 
 
 def test_history_csv_format(tmp_path):
