@@ -1,0 +1,147 @@
+"""Compare the iterates of the benchmark workloads between two checkouts.
+
+    python scripts/compare_iterates.py A B [--workload NAME]
+
+Runs each workload's solve (the names in B's ``BENCHMARK.json``, or only
+NAME) from checkout A and from checkout B. Each run is a fresh Python
+process that imports ``hbflow`` from that checkout's ``src/`` and the
+workload from its ``benchmarks/workloads.py``, with one BLAS thread as in the
+benchmark, bytecode writing off and a scratch working directory, so
+neither checkout is written to. Every history row, every line-search trial
+step and the final u are compared as float hex, stage by stage, with
+objective0, grad0_norm, converged and failure_reason. Prints one line per
+difference; exits 0 when there is none, 1 otherwise, and 2 on a usage error
+or a run that fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+# Runs one workload from the checkout named by argv[1] and prints its
+# iterates as JSON, every float as float.hex().
+CHILD = r"""
+import dataclasses, json, sys
+root, name = sys.argv[1], sys.argv[2]
+sys.path[:0] = [root + "/src", root + "/benchmarks"]
+from hbflow import mesh, solver
+from workloads import WORKLOADS
+
+w = WORKLOADS[name]
+build = mesh.build_unit_disk_mesh if w.domain == "disk" else mesh.build_unit_square_mesh
+m = build(w.size)
+config = solver.SolverConfig(p=w.p, g=w.g, gamma=w.gamma, epsilon=w.epsilon,
+                             max_iters=w.max_iters,
+                             linear=solver.LinearConfig(method=w.linear_method))
+if w.continuation:
+    stages = solver.continuation_solve(m, config, w.f, gamma_start=w.gamma_start,
+                                       gamma_end=w.gamma_end)
+else:
+    stages = [(w.gamma, solver.solve(m, config, w.f))]
+
+
+def h(v):
+    return float(v).hex()
+
+
+def row(record):
+    return [v if isinstance(v, int) else h(v) for v in dataclasses.astuple(record)]
+
+
+json.dump([{"gamma": h(gamma), "objective0": h(o.objective0), "grad0_norm": h(o.grad0_norm),
+            "converged": o.converged, "failure_reason": o.failure_reason,
+            "history": [row(r) for r in o.history],
+            "trials": [[h(a) for a in t] for t in o.linesearch_trials],
+            "u": [h(v) for v in o.u]}
+           for gamma, o in stages], sys.stdout)
+"""
+
+SCALARS = ("gamma", "objective0", "grad0_norm", "converged", "failure_reason")
+
+
+class RunError(RuntimeError):
+    pass
+
+
+def run_workload(root: Path, name: str) -> list[dict]:
+    """The stages of workload ``name`` solved from checkout ``root``."""
+    env = {**os.environ, **THREAD_ENV, "PYTHONDONTWRITEBYTECODE": "1"}
+    with tempfile.TemporaryDirectory() as cwd:
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(root.resolve()), name],
+                              capture_output=True, text=True, env=env, cwd=cwd)
+    if proc.returncode != 0:
+        last = (proc.stderr.strip().splitlines() or ["no output"])[-1]
+        raise RunError(f"{name} from {root} failed: {last}")
+    return json.loads(proc.stdout)
+
+
+def _sequence(label: str, a: list, b: list) -> list[str]:
+    """One line per differing item of two lists of rows, 1-based."""
+    lines = [f"{label} {i}: {x} != {y}"
+             for i, (x, y) in enumerate(zip(a, b), start=1) if x != y]
+    if len(a) != len(b):
+        lines.append(f"{label}: {len(a)} and {len(b)} entries")
+    return lines
+
+
+def compare_stages(name: str, a: list[dict], b: list[dict]) -> list[str]:
+    """One line per difference between the stages a and b of workload ``name``."""
+    lines = [] if len(a) == len(b) else [f"{name}: {len(a)} and {len(b)} stages"]
+    for s, (sa, sb) in enumerate(zip(a, b), start=1):
+        where = f"{name} stage {s}"
+        lines += [f"{where} {key}: {sa[key]} != {sb[key]}"
+                  for key in SCALARS if sa[key] != sb[key]]
+        lines += _sequence(f"{where} history row", sa["history"], sb["history"])
+        lines += _sequence(f"{where} trials of iteration", sa["trials"], sb["trials"])
+        ua, ub = sa["u"], sb["u"]
+        differ = [i for i, (x, y) in enumerate(zip(ua, ub)) if x != y]
+        if len(ua) != len(ub):
+            lines.append(f"{where} u: {len(ua)} and {len(ub)} entries")
+        elif differ:
+            i = differ[0]
+            lines.append(f"{where} u: {len(differ)} of {len(ua)} entries differ, "
+                         f"first at index {i}: {ua[i]} != {ub[i]}")
+    return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("a", type=Path)
+    parser.add_argument("b", type=Path)
+    parser.add_argument("--workload", help="one workload name (default: every one)")
+    args = parser.parse_args(argv)
+    for root in (args.a, args.b):
+        if not (root / "src" / "hbflow").is_dir() or not (root / "benchmarks").is_dir():
+            print(f"not a checkout with src/hbflow and benchmarks/: {root}", file=sys.stderr)
+            return 2
+    spec = args.b / "BENCHMARK.json"
+    if args.workload:
+        names = [args.workload]
+    elif spec.is_file():
+        names = [w["name"] for w in json.loads(spec.read_text())["workloads"]]
+    else:
+        print(f"no {spec} to list the workloads; name one with --workload", file=sys.stderr)
+        return 2
+    lines = []
+    try:
+        for name in names:
+            lines += compare_stages(name, run_workload(args.a, name),
+                                    run_workload(args.b, name))
+    except RunError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    for line in lines:
+        print(line)
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

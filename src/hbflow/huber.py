@@ -104,13 +104,18 @@ def evaluate_objective(
     u: np.ndarray,
     params: HuberParams,
     load: np.ndarray,
+    *,
+    xi: np.ndarray | None = None,
 ) -> float:
     """Regularized objective at interior coefficients u.
 
+    ``xi``, when given, must be ``gradient_magnitudes(gradient, u)``; the
+    solver passes the one it computed for u instead of computing it again.
     May legitimately overflow to +inf for extreme trial states at large p;
     callers treat that as a rejected step, not an error.
     """
-    xi = gradient_magnitudes(gradient, u)
+    if xi is None:
+        xi = gradient_magnitudes(gradient, u)
     with np.errstate(over="ignore"):
         p_term = np.sum(mesh.areas * xi**params.p) / params.p
     psi_term = np.sum(mesh.areas * params.psi(xi))
@@ -123,13 +128,17 @@ def evaluate_gradient(
     u: np.ndarray,
     params: HuberParams,
     load: np.ndarray,
+    *,
+    xi: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the objective: A_u u + A_max u - load.
 
     A_u carries the p-Laplacian weight xi^(p-2) and A_max the Huber weight
-    g*gamma/max(g, gamma*xi), both evaluated at the current u.
+    g*gamma/max(g, gamma*xi), both evaluated at the current u. ``xi``, when
+    given, must be ``gradient_magnitudes(gradient, u)``.
     """
-    xi = gradient_magnitudes(gradient, u)
+    if xi is None:
+        xi = gradient_magnitudes(gradient, u)
     a_u = assemble_weighted_stiffness(mesh, params.plaplacian_weight(xi), gradient=gradient)
     a_max = assemble_weighted_stiffness(mesh, params.huber_weight(xi), gradient=gradient)
     return a_u @ u + a_max @ u - load
@@ -148,12 +157,17 @@ class DualField:
     xi: np.ndarray       # (nt,) |grad u| at the u the field was computed from
 
 
-def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams) -> DualField:
-    """Multiplier w = g*gamma*grad(u)/max(g, gamma*|grad u|), active set and |grad u|."""
+def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams, *,
+               xi: np.ndarray | None = None) -> DualField:
+    """Multiplier w = g*gamma*grad(u)/max(g, gamma*|grad u|), active set and |grad u|.
+
+    ``xi``, when given, must be ``gradient_magnitudes(gradient, u)``.
+    """
     gvec = gradient @ u
     nt = gvec.shape[0] // 2
     gx, gy = gvec[:nt], gvec[nt:]
-    xi = np.hypot(gx, gy)
+    if xi is None:
+        xi = np.hypot(gx, gy)
     scale = params.huber_weight(xi)
     w = np.column_stack([scale * gx, scale * gy])
     return DualField(w=w, active=params.gamma * xi >= params.g, xi=xi)

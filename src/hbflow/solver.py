@@ -17,6 +17,11 @@ The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
 below ``tol`` relative to its starting value. Continuation re-runs the
 solver over a geometric ladder of gamma values, warm-starting each stage.
+
+``solve`` computes the per-triangle magnitudes xi = |G v| once per point v:
+the start's serve its objective and gradient, each line-search trial's
+serve its objective, and the accepted trial's serve the next gradient, the
+p < 2 preconditioner weight and, at the end, the dual field.
 """
 
 from __future__ import annotations
@@ -140,19 +145,18 @@ class _Problem:
         A, factor = self.laplacian if p >= 2.0 else self._laplacian()
         return solve_spd(A, self.load, factor=factor)[0]
 
-    def descent_direction(self, u: np.ndarray, params: HuberParams, grad: np.ndarray):
-        """w solving P_k w = -J'(u), and P_k.
+    def descent_direction(self, xi: np.ndarray, params: HuberParams, grad: np.ndarray):
+        """w solving P_k w = -J'(u), and P_k, given xi = |grad u| at the iterate u.
 
         For p >= 2, P_k is the cached Laplacian, solved with its cached
         factor. For p < 2 it is the stiffness weighted by
-        (epsilon + xi)^(p-2) at u, reassembled (and, for the direct method,
+        (epsilon + xi)^(p-2), reassembled (and, for the direct method,
         factored) on every call.
         """
         if params.p >= 2.0:
             P, factor = self.laplacian
         else:
-            P, factor = self._system(
-                params.preconditioner_weight(gradient_magnitudes(self.gradient, u)))
+            P, factor = self._system(params.preconditioner_weight(xi))
         return solve_spd(P, -grad, factor=factor)[0], P
 
 
@@ -198,37 +202,43 @@ def solve(
         if u.shape != load.shape:
             raise ValueError(f"u0 shape {u.shape} does not match {load.shape}")
 
-    grad = evaluate_gradient(mesh, G, u, params, load)
+    xi = gradient_magnitudes(G, u)      # |grad u| at the current iterate, kept with it
+    grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
     grad0_norm = float(np.linalg.norm(grad))
-    objective0 = evaluate_objective(mesh, G, u, params, load)
+    objective0 = evaluate_objective(mesh, G, u, params, load, xi=xi)
     history: list[IterationRecord] = []
     all_trials: list[list[float]] = []
 
     if grad0_norm == 0.0:
-        return SolveOutcome(u, history, True, dual_field(G, u, params),
+        return SolveOutcome(u, history, True, dual_field(G, u, params, xi=xi),
                             objective0, 0.0, all_trials)
 
     converged = False
     failure = None
     j_curr = objective0
     for k in range(1, config.max_iters + 1):
-        w, P = problem.descent_direction(u, params, grad)
+        w, P = problem.descent_direction(xi, params, grad)
         dphi0 = float(grad @ w)
         quad = float(w @ (P @ w))
         identity_err = abs(dphi0 + quad) / max(abs(dphi0), np.finfo(float).tiny)
 
-        result = backtracking_search(
-            lambda a: evaluate_objective(mesh, G, u + a * w, params, load),
-            j_curr, dphi0, config.linesearch,
-        )
+        trial = []      # the latest trial point and its xi; an accepted search ends on it
+
+        def phi(a):
+            trial.clear()               # a rejected trial's xi is dropped first
+            v = u + a * w
+            trial.extend((v, gradient_magnitudes(G, v)))
+            return evaluate_objective(mesh, G, v, params, load, xi=trial[1])
+
+        result = backtracking_search(phi, j_curr, dphi0, config.linesearch)
         all_trials.append(result.trials)
         if result.status != "accepted":
             failure = f"line search failed at iteration {k}: {result.status}"
             break
 
-        u = u + result.alpha * w
+        u, xi = trial                   # u + result.alpha * w, bit for bit
         j_curr = result.phi
-        grad = evaluate_gradient(mesh, G, u, params, load)
+        grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
         rel = float(np.linalg.norm(grad)) / grad0_norm
         history.append(IterationRecord(k, rel, j_curr, result.alpha,
                                        result.backtracks, dphi0, identity_err))
@@ -236,7 +246,7 @@ def solve(
             converged = True
             break
 
-    return SolveOutcome(u, history, converged, dual_field(G, u, params),
+    return SolveOutcome(u, history, converged, dual_field(G, u, params, xi=xi),
                         objective0, grad0_norm, all_trials, failure)
 
 

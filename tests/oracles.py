@@ -7,13 +7,19 @@ fit through the three vertex values, the objective as a plain Python loop
 over triangles, and gradients by central differences of that loop. Slow on
 purpose; only ever run on tiny meshes.
 
-Two oracles keep an earlier implementation instead, for bit-for-bit and
+Three oracles keep an earlier implementation instead, for bit-for-bit and
 byte-for-byte comparison: the weighted stiffness as scipy's sparse product
-G^T D G, and the VTK writer that joins the whole file in memory.
+G^T D G, the VTK writer that joins the whole file in memory, and the
+Jacobi-PCG solve through scipy's ``cg``.
 """
+
+import time
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+from hbflow.linalg import LinearSolveError, SpdSolveReport
 
 
 def shoelace_area(pts):
@@ -199,3 +205,41 @@ def weighted_stiffness(mesh, weights, gradient):
     A.eliminate_zeros()
     A.sort_indices()
     return A
+
+
+def scipy_jacobi_pcg(A, b, tol=1e-10):
+    """``solve_spd(A, b, tol)`` without a factor, as it was written on scipy's ``cg``."""
+    n = A.shape[0]
+    method = "pcg"
+    t0 = time.perf_counter()
+    bnorm = float(np.linalg.norm(b))
+    if bnorm == 0.0:
+        return np.zeros(n), SpdSolveReport(method, 0, 0.0, time.perf_counter() - t0)
+
+    diag = A.diagonal()
+    if np.any(diag <= 0.0):
+        raise ValueError("matrix has a non-positive diagonal entry, not SPD")
+    M = sp.diags(1.0 / diag)
+    count = 0
+
+    def tick(_):
+        nonlocal count
+        count += 1
+
+    x = np.zeros(n)
+    # a couple of warm restarts absorb recurrence drift near tolerance
+    for _ in range(3):
+        x, info = spla.cg(A, b, x0=x, rtol=tol, atol=0.0, maxiter=10 * n,
+                          M=M, callback=tick)
+        if float(np.linalg.norm(A @ x - b)) / bnorm <= tol:
+            break
+    iterations = count
+
+    rel = float(np.linalg.norm(A @ x - b)) / bnorm
+    report = SpdSolveReport(method, iterations, rel, time.perf_counter() - t0)
+    if not rel <= tol:          # also catches a NaN residual
+        raise LinearSolveError(
+            f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})",
+            report,
+        )
+    return x, report

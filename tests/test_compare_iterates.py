@@ -1,0 +1,36 @@
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "compare_iterates.py"
+
+
+def compare(a, b):
+    return subprocess.run([sys.executable, str(SCRIPT), str(a), str(b),
+                           "--workload", "continuation-p100"],
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_compare_iterates_flags_a_changed_sigma1_default(tmp_path):
+    same = compare(ROOT, ROOT)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout == ""
+
+    copy = tmp_path / "copy"
+    shutil.copytree(ROOT / "src", copy / "src",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    (copy / "benchmarks").mkdir()
+    shutil.copy(ROOT / "benchmarks" / "workloads.py", copy / "benchmarks")
+    linesearch = copy / "src" / "hbflow" / "linesearch.py"
+    text = linesearch.read_text()
+    assert text.count("sigma1: float = 1e-4 ") == 1
+    linesearch.write_text(text.replace("sigma1: float = 1e-4 ", "sigma1: float = 0.2 "))
+
+    changed = compare(ROOT, copy)
+    assert changed.returncode == 1, changed.stderr
+    lines = changed.stdout.splitlines()
+    assert lines and all(line.startswith("continuation-p100 ") for line in lines)
+    assert any(" history row " in line for line in lines)
+    assert any(line.startswith("continuation-p100 stage 6 u: ") for line in lines)

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hbflow.linalg
+
 from hbflow.assembly import assemble_weighted_stiffness, build_discrete_gradient
 from hbflow.linalg import LinearSolveError, factorize_spd, solve_spd
+import oracles
 
 
 def poisson_matrix(mesh):
@@ -87,3 +90,80 @@ def test_solve_nan_residual_raises(square4, method):
     with pytest.raises(LinearSolveError) as exc:
         solve_spd(A, np.full(A.shape[0], 8e219), factor=factor_for(method, A))
     assert np.isnan(exc.value.report.rel_residual)
+
+
+def test_solve_rejects_a_tol_that_is_not_finite_and_positive(square4, monkeypatch):
+    A = poisson_matrix(square4)
+    b = np.ones(A.shape[0])
+
+    def no_work(*args):
+        raise AssertionError("CG ran")
+
+    monkeypatch.setattr(hbflow.linalg, "_jacobi_cg", no_work)
+    for bad in (np.nan, 0.0, -1.0, np.inf, -np.inf):
+        for factor in (None, factorize_spd(A)):
+            with pytest.raises(ValueError, match="tol must be finite and > 0"):
+                solve_spd(A, b, tol=bad, factor=factor)
+
+
+def pcg_system(mesh, rng, weights=None):
+    gradient = build_discrete_gradient(mesh)
+    if weights is None:
+        weights = np.ones(mesh.num_triangles)
+    A = assemble_weighted_stiffness(mesh, weights, gradient=gradient)
+    return A, rng.standard_normal(A.shape[0])
+
+
+def assert_same_solve(A, b, tol):
+    """solve_spd's PCG against scipy's cg: equal bits, steps and residual."""
+    x, report = solve_spd(A, b, tol=tol)
+    want, expected = oracles.scipy_jacobi_pcg(A, b, tol=tol)
+    assert np.array_equal(x.view(np.int64), want.view(np.int64))
+    assert report.iterations == expected.iterations
+    assert report.rel_residual == expected.rel_residual
+    assert report.method == expected.method == "pcg"
+
+
+def test_pcg_bits_equal_scipy_cg_on_poisson(square16, rng):
+    assert_same_solve(*pcg_system(square16, rng), tol=1e-10)
+
+
+def test_pcg_bits_equal_scipy_cg_on_wide_weights(square16, rng):
+    weights = 10.0 ** rng.uniform(-8.0, 8.0, square16.num_triangles)
+    A, b = pcg_system(square16, rng, weights)
+    assert_same_solve(A, b, tol=1e-10)
+
+
+def test_pcg_bits_equal_scipy_cg_with_signed_zeros_in_b(disk3, rng):
+    # the first residual is b itself, so it starts with -0.0 entries
+    A, b = pcg_system(disk3, rng)
+    b[::3] = -0.0
+    b[1::3] = 0.0
+    assert np.signbit(b[::3]).all()
+    assert_same_solve(A, b, tol=1e-10)
+
+
+def test_pcg_bits_equal_scipy_cg_across_restarts(square16, rng, monkeypatch):
+    A, b = pcg_system(square16, rng)
+    passes = []
+    real = oracles.spla.cg
+
+    def counting(*args, **kwargs):
+        passes.append(kwargs["x0"].any())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles.spla, "cg", counting)
+    assert_same_solve(A, b, tol=1e-15)
+    assert passes == [False, True, True]     # two warm restarts, then success
+
+
+def test_pcg_stall_reports_equal_scipy_cg(square16, rng):
+    A, b = pcg_system(square16, rng)
+    with pytest.raises(LinearSolveError) as ours:
+        solve_spd(A, b, tol=1e-30)
+    with pytest.raises(LinearSolveError) as theirs:
+        oracles.scipy_jacobi_pcg(A, b, tol=1e-30)
+    got, want = ours.value.report, theirs.value.report
+    assert (got.method, got.iterations, got.rel_residual) == (
+        want.method, want.iterations, want.rel_residual)
+    assert str(ours.value) == str(theirs.value)

@@ -6,8 +6,9 @@ import pytest
 
 import hbflow.linalg
 import hbflow.solver
-from hbflow.assembly import build_discrete_gradient, expand_dirichlet
-from hbflow.huber import HuberParams, evaluate_gradient, evaluate_objective
+from hbflow.assembly import build_discrete_gradient, expand_dirichlet, gradient_magnitudes
+from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
+from hbflow.linesearch import LineSearchResult
 from hbflow.mesh import make_mesh
 from hbflow.solver import (
     LinearConfig,
@@ -60,7 +61,7 @@ def test_descent_direction_continuous_across_p2(square4, rng):
     def direction(p):
         params = HuberParams(p=p, g=0.2, gamma=10.0)
         grad = evaluate_gradient(square4, gradient, u, params, load)
-        return problem.descent_direction(u, params, grad)[0]
+        return problem.descent_direction(gradient_magnitudes(gradient, u), params, grad)[0]
 
     w_thin = direction(1.999)   # weighted stiffness preconditioner
     w_thick = direction(2.0)    # Laplacian preconditioner
@@ -241,6 +242,75 @@ def test_thinning_solve_drops_the_laplacian_after_the_start(square16, splu_calls
     # p >= 2 keeps it for the directions
     solve(square16, dataclasses.replace(cfg, p=4.0, max_iters=1), 1.0, problem=problem)
     assert "laplacian" in vars(problem)
+
+
+@pytest.fixture
+def hypot_calls(monkeypatch):
+    """Counts the per-triangle magnitude computations, np.hypot calls."""
+    calls = []
+    real = np.hypot
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "hypot", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, method", [(1.5, "pcg"), (4.0, "direct")])
+def test_solve_computes_xi_once_per_point(square16, hypot_calls, p, method):
+    cfg = SolverConfig(p=p, g=0.2, gamma=100.0, max_iters=4,
+                       linear=LinearConfig(method=method))
+    f = 1.0 if p < 2.0 else 3.0
+    out = solve(square16, cfg, f)
+    assert out.iterations == 4
+    evaluations = sum(len(trials) for trials in out.linesearch_trials)
+    # the start's xi, then one per trial; the accepted trial's serves the
+    # gradient, the p < 2 preconditioner and the dual
+    assert len(hypot_calls) == evaluations + 1
+
+    # what the carried xi produced equals a recomputation from u, bit for bit
+    gradient, load = problem_arrays(square16, f)
+    params = cfg.huber_params()
+    u0 = solve(square16, dataclasses.replace(cfg, max_iters=0), f).u
+    grad0 = evaluate_gradient(square16, gradient, u0, params, load)
+    assert out.grad0_norm == float(np.linalg.norm(grad0))
+    assert out.objective0 == evaluate_objective(square16, gradient, u0, params, load)
+    grad = evaluate_gradient(square16, gradient, out.u, params, load)
+    assert out.final_rel_residual == float(np.linalg.norm(grad)) / out.grad0_norm
+    dual = dual_field(gradient, out.u, params)
+    for name in ("w", "active", "xi"):
+        assert np.array_equal(getattr(out.dual, name), getattr(dual, name)), name
+
+
+def test_failed_search_leaves_the_dual_of_the_returned_iterate(square16, monkeypatch):
+    real = hbflow.solver.backtracking_search
+    magnitudes = []
+    real_magnitudes = hbflow.solver.gradient_magnitudes
+
+    def recording(gradient, v):
+        magnitudes.append(real_magnitudes(gradient, v))
+        return magnitudes[-1]
+
+    def failing_second(phi, phi0, dphi0, config):
+        if not failing_second.searched:
+            failing_second.searched = True
+            return real(phi, phi0, dphi0, config)
+        trials = [1.0, 0.5]
+        values = [phi(a) for a in trials]
+        return LineSearchResult(trials[-1], values[-1], 2, 2, "step-too-small", trials)
+
+    failing_second.searched = False
+    monkeypatch.setattr(hbflow.solver, "gradient_magnitudes", recording)
+    monkeypatch.setattr(hbflow.solver, "backtracking_search", failing_second)
+    out = solve(square16, SolverConfig(p=1.5, g=0.2, gamma=100.0, max_iters=5), 1.0)
+    assert out.failure_reason == "line search failed at iteration 2: step-too-small"
+    assert out.iterations == 1
+    xi = gradient_magnitudes(build_discrete_gradient(square16), out.u)
+    assert np.array_equal(out.dual.xi, xi)
+    assert not np.array_equal(out.dual.xi, magnitudes[-1])     # the rejected trial's
+    assert np.array_equal(out.dual.active, 0.2 <= 100.0 * xi)
 
 
 def test_wp_seminorm_single_triangle():
