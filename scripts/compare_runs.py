@@ -3,10 +3,11 @@
     python scripts/compare_runs.py A B
 
 Both trees must hold the same files, and each file must match byte for
-byte. The exception is ``summary.json``, which is compared as JSON
-without ``wall_time_seconds``, the one field a rerun changes. Prints one
-line per difference; exits 0 when there is none, 1 otherwise, and 2 when
-A or B is not a directory.
+byte. The exception is ``summary.json``, which is compared field by field
+as JSON without ``wall_time_seconds``, the one field a rerun changes; a
+differing field is printed with both values, and a numeric one also with
+their relative difference. Prints one line per difference; exits 0 when
+there is none, 1 otherwise, and 2 when A or B is not a directory.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import sys
 from pathlib import Path
 
 VOLATILE = "wall_time_seconds"
+_ABSENT = object()          # a summary field that only the other tree has
 
 
 def _files(root: Path) -> set[str]:
@@ -32,25 +34,44 @@ def _summary(path: Path) -> dict | None:
     return summary
 
 
-def _difference(a: Path, b: Path) -> str | None:
-    """Why the files a and b differ, or None when they match."""
+def _leaves(value, path: str = ""):
+    """(path, scalar) for every scalar in a parsed JSON value, e.g. ``stages[0].gamma``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _leaves(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _leaves(item, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _field_difference(a, b) -> str:
+    """Both values of a differing field; for two numbers, also their relative difference."""
+    text = " vs ".join("absent" if v is _ABSENT else repr(v) for v in (a, b))
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b)):
+        scale = max(abs(a), abs(b))
+        text += f" (relative difference {abs(a - b) / scale if scale else 0.0:.2e})"
+    return text
+
+
+def _differences(a: Path, b: Path) -> list[str]:
+    """Why the files a and b differ, one reason per line; empty when they match."""
     if a.name == "summary.json":
         sa, sb = _summary(a), _summary(b)
         if sa is None or sb is None:
-            return "not valid JSON"
-        if sa == sb:
-            return None
-        if isinstance(sa, dict) and isinstance(sb, dict):
-            missing = object()
-            keys = sorted(k for k in sa.keys() | sb.keys()
-                          if sa.get(k, missing) != sb.get(k, missing))
-            return "JSON differs in " + ", ".join(keys)
-        return "JSON differs"
+            return ["not valid JSON"]
+        la, lb = dict(_leaves(sa)), dict(_leaves(sb))
+        # repr tells -0.0 from 0.0 and, unlike ==, finds NaN equal to NaN
+        fields = (k for k in la.keys() | lb.keys()
+                  if repr(la.get(k, _ABSENT)) != repr(lb.get(k, _ABSENT)))
+        return [f"{k} {_field_difference(la.get(k, _ABSENT), lb.get(k, _ABSENT))}"
+                for k in sorted(fields)]
     da, db = a.read_bytes(), b.read_bytes()
     if da == db:
-        return None
+        return []
     at = next((i for i, (x, y) in enumerate(zip(da, db)) if x != y), min(len(da), len(db)))
-    return f"bytes differ from offset {at} (sizes {len(da)} and {len(db)})"
+    return [f"bytes differ from offset {at} (sizes {len(da)} and {len(db)})"]
 
 
 def compare(a: Path, b: Path) -> list[str]:
@@ -59,9 +80,7 @@ def compare(a: Path, b: Path) -> list[str]:
     lines = [f"only in {a}: {name}" for name in sorted(fa - fb)]
     lines += [f"only in {b}: {name}" for name in sorted(fb - fa)]
     for name in sorted(fa & fb):
-        why = _difference(a / name, b / name)
-        if why is not None:
-            lines.append(f"{name}: {why}")
+        lines += [f"{name}: {why}" for why in _differences(a / name, b / name)]
     return lines
 
 

@@ -70,7 +70,7 @@ PRESETS: dict[str, dict] = {
                               continuation=True),
 }
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunManifest)}
+_FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunManifest))
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
 
@@ -104,7 +104,7 @@ def parse_config_file(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _FIELD_TYPES:
+        if key not in _FIELD_NAMES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         if key == "preset":
             raise ConfigError(f"{path}:{lineno}: a config file cannot set a preset, "
@@ -131,7 +131,7 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     explicit = {
         name: value
         for name, value in vars(args).items()
-        if name in _FIELD_TYPES and name != "preset" and value is not None
+        if name in _FIELD_NAMES and name != "preset" and value is not None
     }
     if explicit:
         manifest = dataclasses.replace(manifest, **explicit)

@@ -120,7 +120,9 @@ def solve_spd(
         On mismatched shapes, a factor of another shape, a non-positive
         diagonal (PCG only), or a ``tol`` that is not finite and > 0.
     LinearSolveError
-        If the verified residual still exceeds ``tol`` or is NaN.
+        If ``||b||`` is not finite, before any solve step (the report then has
+        0 iterations and a NaN residual), or if the verified residual still
+        exceeds ``tol`` or is NaN.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
@@ -132,6 +134,9 @@ def solve_spd(
     method = "pcg" if factor is None else "direct"
     t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
+    if not math.isfinite(bnorm):        # NaN or inf in b, or ||b|| overflows
+        raise LinearSolveError(f"right-hand side norm is {bnorm}, not finite",
+                               SpdSolveReport(method, 0, math.nan, time.perf_counter() - t0))
     if bnorm == 0.0:
         return np.zeros(n), SpdSolveReport(method, 0, 0.0, time.perf_counter() - t0)
 

@@ -8,10 +8,10 @@ direction, where the preconditioner depends on the flow index:
 * shear-thickening (p >= 2, including the Bingham case p = 2): P_k is the
   plain Laplacian stiffness matrix, the H^1_0 Riesz map.
 
-``_Problem`` assembles every system matrix and factors it for the direct
-method only. The Laplacian depends on neither gamma nor the iterate: for
-p >= 2 it is built once per run or ladder and shared with the Poisson start;
-for p < 2 only that start uses it.
+``_Problem`` assembles every system matrix. The Laplacian depends on neither
+gamma nor the iterate: for p >= 2 it is built and factored once per run or
+ladder and shared with the Poisson start. For p < 2 only that start uses it,
+and ``LinearConfig.method`` picks PCG or an LU factor for it and each P_k.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -48,7 +48,7 @@ from .mesh import Mesh
 
 @dataclass(frozen=True)
 class LinearConfig:
-    method: str = "pcg"           # "pcg", or "direct": _Problem factors every system
+    method: str = "pcg"           # p < 2 only: "pcg", or "direct" to factor each system
 
     def __post_init__(self):
         if self.method not in ("pcg", "direct"):
@@ -119,7 +119,7 @@ class SolveOutcome:
 class _Problem:
     """What stays fixed over a run or a continuation ladder: mesh, discrete
     gradient, load, linear solver settings, and, for p >= 2, built on first
-    use, the Laplacian and its LU factor (direct method only)."""
+    use, the Laplacian and its LU factor, whatever the method."""
 
     mesh: Mesh
     gradient: sp.csr_matrix
@@ -130,26 +130,26 @@ class _Problem:
     def build(cls, mesh: Mesh, f, linear: LinearConfig) -> _Problem:
         return cls(mesh, build_discrete_gradient(mesh), assemble_load_vector(mesh, f), linear)
 
-    def _system(self, weights: np.ndarray):
-        """Weighted stiffness, with its LU factor for the direct method only."""
+    def _system(self, weights: np.ndarray, direct: bool = False):
+        """Weighted stiffness, with its LU factor if ``direct`` or for the direct method."""
         A = assemble_weighted_stiffness(self.mesh, weights, gradient=self.gradient)
-        return A, factorize_spd(A) if self.linear.method == "direct" else None
+        return A, factorize_spd(A) if direct or self.linear.method == "direct" else None
 
-    def _laplacian(self):
-        return self._system(np.ones(self.mesh.num_triangles))
-
-    laplacian = cached_property(_laplacian)    # for p >= 2, kept for the run
+    @cached_property
+    def laplacian(self):
+        """P_k for every p >= 2 iterate, with its LU factor, kept for the run."""
+        return self._system(np.ones(self.mesh.num_triangles), direct=True)
 
     def poisson_start(self, p: float) -> np.ndarray:
-        # for p < 2 no direction uses the Laplacian: it is dropped after
-        A, factor = self.laplacian if p >= 2.0 else self._laplacian()
+        # for p < 2 no direction uses the Laplacian: the start builds its own and drops it
+        A, factor = self.laplacian if p >= 2.0 else self._system(np.ones(self.mesh.num_triangles))
         return solve_spd(A, self.load, factor=factor)[0]
 
     def descent_direction(self, xi: np.ndarray, params: HuberParams, grad: np.ndarray):
         """w solving P_k w = -J'(u), and P_k, given xi = |grad u| at the iterate u.
 
         For p >= 2, P_k is the cached Laplacian, solved with its cached
-        factor. For p < 2 it is the stiffness weighted by
+        factor whatever the method. For p < 2 it is the stiffness weighted by
         (epsilon + xi)^(p-2), reassembled (and, for the direct method,
         factored) on every call.
         """
@@ -182,7 +182,7 @@ def solve(
     problem : optional
         Internal: :func:`continuation_solve` passes the problem it prepared
         from the same mesh, ``f`` and ``config.linear``, so that every
-        stage reuses one gradient, load, Laplacian and factor.
+        stage reuses one gradient, load and, for p >= 2, factored Laplacian.
 
     Notes
     -----

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hbflow.linalg
 from hbflow import build_unit_disk_mesh, build_unit_square_mesh
 from hbflow.assembly import assemble_load_vector, build_discrete_gradient
 
@@ -38,6 +39,15 @@ def disk3():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def no_cg(monkeypatch):
+    """Fails a test that reaches a CG step."""
+    def no_work(*args):
+        raise AssertionError("CG ran")
+
+    monkeypatch.setattr(hbflow.linalg, "_jacobi_cg", no_work)
 
 
 def problem_arrays(mesh, f=1.0):

@@ -1,3 +1,5 @@
+import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,24 @@ def test_compare_runs_flags_one_flipped_vtk_byte(tmp_path, capsys):
     assert flipped.returncode == 1
     assert flipped.stdout.splitlines() == [
         f"solution.vtk: bytes differ from offset {at} (sizes {len(vtk)} and {len(vtk)})"]
+
+
+def test_compare_runs_prints_both_values_of_a_changed_summary_field(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--domain", "square", "--n", "4", "--p", "1.5",
+                 "--max-iters", "3", "--out", str(a)]) in (0, 1)
+    shutil.copytree(a, b)
+    summary = json.loads((b / "summary.json").read_text())
+    j = summary["final_objective"]
+    summary["final_objective"] = moved = j * (1.0 + 1e-9)
+    converged = summary["stages"][0]["converged"]
+    summary["stages"][0]["converged"] = not converged
+    error = summary.pop("error")
+    (b / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    changed = compare(a, b)
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines() == [
+        f"summary.json: error {error!r} vs absent",
+        f"summary.json: final_objective {j!r} vs {moved!r} (relative difference 1.00e-09)",
+        f"summary.json: stages[0].converged {converged!r} vs {not converged!r}",
+    ]

@@ -82,24 +82,36 @@ def test_solve_starved_iterations_raise_with_report(square16, rng):
     assert report.iterations >= 1
 
 
+class NoSolveFactor:
+    """Stands in for a factor of shape ``shape`` and fails if it is solved with."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def solve(self, b):
+        raise AssertionError("factor solve ran")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")   # the overflow is the point
 @pytest.mark.parametrize("method", ["pcg", "direct"])
-def test_solve_nan_residual_raises(square4, method):
-    # ||b|| overflows to inf, so the verified residual is NaN, not a pass
+def test_solve_nan_residual_raises(square4, no_cg, method):
+    # a NaN or inf in b, or ||b|| overflowing to inf, raises before any solve step
     A = poisson_matrix(square4)
-    with pytest.raises(LinearSolveError) as exc:
-        solve_spd(A, np.full(A.shape[0], 8e219), factor=factor_for(method, A))
-    assert np.isnan(exc.value.report.rel_residual)
+    n = A.shape[0]
+    factor = NoSolveFactor(A.shape) if method == "direct" else None
+    nan, inf = np.zeros(n), np.ones(n)
+    nan[1], inf[2] = np.nan, -np.inf
+    for b in (np.full(n, 8e219), nan, inf):
+        with pytest.raises(LinearSolveError, match="not finite") as exc:
+            solve_spd(A, b, factor=factor)
+        report = exc.value.report
+        assert (report.method, report.iterations) == (method, 0)
+        assert np.isnan(report.rel_residual)
 
 
-def test_solve_rejects_a_tol_that_is_not_finite_and_positive(square4, monkeypatch):
+def test_solve_rejects_a_tol_that_is_not_finite_and_positive(square4, no_cg):
     A = poisson_matrix(square4)
     b = np.ones(A.shape[0])
-
-    def no_work(*args):
-        raise AssertionError("CG ran")
-
-    monkeypatch.setattr(hbflow.linalg, "_jacobi_cg", no_work)
     for bad in (np.nan, 0.0, -1.0, np.inf, -np.inf):
         for factor in (None, factorize_spd(A)):
             with pytest.raises(ValueError, match="tol must be finite and > 0"):

@@ -190,15 +190,19 @@ def splu_calls(monkeypatch):
 DIRECT = LinearConfig(method="direct")
 
 
-def test_thickening_direct_solve_factors_the_laplacian_once(square16, splu_calls):
-    cfg = SolverConfig(p=4.0, g=0.2, gamma=100.0, max_iters=5, linear=DIRECT)
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_thickening_solve_factors_the_laplacian_once(square16, splu_calls, no_cg, method):
+    cfg = SolverConfig(p=4.0, g=0.2, gamma=100.0, max_iters=5,
+                       linear=LinearConfig(method=method))
     out = solve(square16, cfg, 3.0)
     assert out.iterations >= 2
     assert len(splu_calls) == 1      # the Poisson start and every iteration share it
 
 
-def test_continuation_ladder_factors_the_laplacian_once(square16, splu_calls):
-    cfg = SolverConfig(p=4.0, g=0.2, gamma=1000.0, max_iters=4, linear=DIRECT)
+@pytest.mark.parametrize("method", ["direct", "pcg"])
+def test_continuation_ladder_factors_the_laplacian_once(square16, splu_calls, no_cg, method):
+    cfg = SolverConfig(p=4.0, g=0.2, gamma=1000.0, max_iters=4,
+                       linear=LinearConfig(method=method))
     stages = continuation_solve(square16, cfg, 3.0, gamma_start=10.0, gamma_end=1000.0)
     assert [gamma for gamma, _ in stages] == [10.0, 100.0, 1000.0]
     assert len(splu_calls) == 1
@@ -208,6 +212,15 @@ def test_continuation_ladder_factors_the_laplacian_once(square16, splu_calls):
         alone = solve(square16, dataclasses.replace(cfg, gamma=gamma), 3.0, u0=u)
         assert np.array_equal(alone.u, outcome.u)
         u = outcome.u
+
+
+def test_thickening_solve_is_the_same_under_either_method(square16):
+    direct, pcg = (solve(square16, SolverConfig(p=4.0, g=0.2, gamma=100.0, max_iters=5,
+                                                linear=LinearConfig(method=method)), 3.0)
+                   for method in ("direct", "pcg"))
+    assert np.array_equal(direct.u.view(np.int64), pcg.u.view(np.int64))
+    assert repr(direct.history) == repr(pcg.history)        # repr keeps every bit of a float
+    assert repr(direct.linesearch_trials) == repr(pcg.linesearch_trials)
 
 
 def test_thinning_direct_solve_refactors_every_iteration(square16, splu_calls):
