@@ -30,7 +30,7 @@ from .export import write_history_csv, write_vtk
 from .linalg import LinearSolveError
 from .linesearch import LineSearchConfig, LineSearchError
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .solver import SolveOutcome, SolverConfig, _wp_seminorm, continuation_solve, solve
+from .solver import SolveOutcome, SolverConfig, _wp_seminorm, continuation_solve
 
 
 class ConfigError(ValueError):
@@ -145,14 +145,10 @@ def build_mesh(manifest: RunManifest) -> Mesh:
     if manifest.domain == "square":
         if manifest.n is None:
             raise ConfigError("square domain needs --n")
-        if manifest.n < 2:
-            raise ConfigError(f"square mesh needs n >= 2 for interior vertices, got {manifest.n}")
         return build_unit_square_mesh(manifest.n)
     if manifest.domain == "disk":
         if manifest.level is None:
             raise ConfigError("disk domain needs --level")
-        if manifest.level < 1:
-            raise ConfigError(f"disk mesh needs level >= 1 for interior vertices, got {manifest.level}")
         return build_unit_disk_mesh(manifest.level)
     raise ConfigError(f"unknown domain {manifest.domain!r} (square or disk)")
 
@@ -244,14 +240,13 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     config = solver_config(manifest)
     t0 = time.perf_counter()
     error = None
-    # a LinearSolveError propagates: without a completed stage there is
-    # nothing worth writing
+    # a single run is the one-stage ladder at gamma; a LinearSolveError
+    # propagates: without a completed stage there is nothing worth writing
     if manifest.continuation:
-        stages = continuation_solve(mesh, config, manifest.f,
-                                    gamma_start=manifest.gamma_start,
-                                    gamma_end=manifest.gamma_end)
+        start, end = manifest.gamma_start, manifest.gamma_end
     else:
-        stages = [(manifest.gamma, solve(mesh, config, manifest.f))]
+        start = end = manifest.gamma
+    stages = continuation_solve(mesh, config, manifest.f, gamma_start=start, gamma_end=end)
     wall = time.perf_counter() - t0
 
     bad = [outcome for _, outcome in stages if not outcome.converged]
@@ -263,10 +258,20 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     return (0 if not bad else 1), summary
 
 
+def _label(value) -> str:
+    """A sweep value as it appears in its run directory's name."""
+    return f"{value:g}" if isinstance(value, float) else str(value)
+
+
 def _parse_list(name: str, raw: str, cast) -> list:
     values = [cast(tok) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ConfigError(f"--{name}-list has no values")
+    labels = [_label(v) for v in values]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            # two points would solve the same problem into the same directory
+            raise ConfigError(f"--{name}-list repeats {label}")
     return values
 
 
@@ -275,16 +280,21 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     lists = (("g", args.g_list, float), ("p", args.p_list, float),
              ("gamma", args.gamma_list, float), ("n", args.n_list, int),
              ("level", args.level_list, int))
-    axes = [(name, _parse_list(name, raw, cast)) for name, raw, cast in lists
-            if raw is not None]
+    unread = {"square": "level", "disk": "n"}.get(manifest.domain)
+    axes = []
+    for name, raw, cast in lists:
+        if raw is None:
+            continue
+        if name == unread:
+            raise ConfigError(f"--{name}-list does not apply to the {manifest.domain} domain")
+        axes.append((name, _parse_list(name, raw, cast)))
     base_out = _make_outdir(manifest.out)
 
     names = [name for name, _ in axes]
     rows = []
     for combo in itertools.product(*(values for _, values in axes)):
         point = dict(zip(names, combo))
-        tag = "-".join(f"{k}{v:g}" if isinstance(v, float) else f"{k}{v}"
-                       for k, v in point.items()) or "single"
+        tag = "-".join(f"{k}{_label(v)}" for k, v in point.items()) or "single"
         sub = dataclasses.replace(manifest, out=str(base_out / "runs" / tag), **point)
         try:
             code, summary = run_single(sub)

@@ -11,11 +11,8 @@ returning.
 The CG loop, :func:`_jacobi_cg`, is this module's own: it takes the steps of
 scipy 1.17.1's ``scipy.sparse.linalg.cg`` with a diagonal preconditioner in
 the same order, one floating-point operation for another, so its iterates
-are scipy's bit for bit. Owning it drops scipy's ``LinearOperator`` and
-``dia_matrix`` dispatch and the per-step callback, about an eighth of a
-182-step solve on the level-6 disk (32.5 → 28.1 ms on a 2-vCPU Xeon VM), and
-reuses one scratch vector for the two updates. It uses no fused multiply-add (BLAS ``axpy``), because that
-rounds once where scipy rounds twice.
+are scipy's bit for bit. It uses no fused multiply-add (BLAS ``axpy``),
+because that rounds once where scipy rounds twice.
 """
 
 from __future__ import annotations

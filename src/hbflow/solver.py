@@ -96,7 +96,7 @@ class SolveOutcome:
     u: np.ndarray
     history: list[IterationRecord]
     converged: bool
-    dual: DualField
+    dual: DualField | None        # None on a continuation stage that seeded the next
     objective0: float             # J at the initial iterate
     grad0_norm: float             # ||J'(u_0)||, the residual normalizer
     linesearch_trials: list[list[float]]
@@ -201,6 +201,8 @@ def solve(
         u = np.asarray(u0, dtype=np.float64).copy()
         if u.shape != load.shape:
             raise ValueError(f"u0 shape {u.shape} does not match {load.shape}")
+        if not np.isfinite(u).all():
+            raise ValueError("u0 must be finite at every interior vertex")
 
     xi = gradient_magnitudes(G, u)      # |grad u| at the current iterate, kept with it
     grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
@@ -268,6 +270,8 @@ def continuation_solve(
     a stage that died outright (line-search failure) aborts the ladder,
     returning the partial history. The gradient, load, Laplacian and its
     factor do not depend on gamma and are built once for the whole ladder.
+    Only the last stage keeps its dual field; a stage that seeds the next
+    has ``dual=None``.
     """
     if not (np.isfinite([gamma_start, factor, gamma_end]).all() and gamma_start > 0.0
             and factor > 1.0 and gamma_end >= gamma_start):
@@ -285,6 +289,7 @@ def continuation_solve(
             break
         if gamma >= gamma_end * (1.0 - 1e-12):
             break
+        outcome.dual = None
         u = outcome.u
         gamma *= factor
     return stages

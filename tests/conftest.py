@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import hbflow.linalg
-from hbflow import build_unit_disk_mesh, build_unit_square_mesh
 from hbflow.assembly import assemble_load_vector, build_discrete_gradient
+from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh
 
 
 @pytest.fixture(scope="session")

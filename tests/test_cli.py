@@ -1,4 +1,5 @@
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -17,12 +18,15 @@ import hbflow.solver
 from hbflow.cli import (
     PRESETS,
     ConfigError,
+    RunManifest,
     build_manifest,
     main,
     make_parser,
     parse_config_file,
 )
 from hbflow.export import CSV_HEADER
+from hbflow.linesearch import LineSearchConfig
+from hbflow.solver import SolverConfig, continuation_solve
 
 
 def write(path, text):
@@ -86,6 +90,18 @@ def test_presets_cover_the_experiments():
     assert continuation["continuation"] is True
 
 
+def test_manifest_defaults_are_the_library_defaults():
+    # the manifest keeps its own copies, so that a summary can record them
+    manifest = RunManifest()
+    solver = SolverConfig(p=2.0, g=0.2, gamma=1e3)
+    ladder = inspect.signature(continuation_solve).parameters
+    assert (manifest.epsilon, manifest.tol, manifest.max_iters) == (
+        solver.epsilon, solver.tol, solver.max_iters)
+    assert manifest.sigma1 == LineSearchConfig().sigma1
+    assert (manifest.gamma_start, manifest.gamma_end) == (
+        ladder["gamma_start"].default, ladder["gamma_end"].default)
+
+
 def test_unknown_preset_is_config_error(capsys):
     assert main(["run", "--preset", "exp9"]) == 2
     assert "configuration error" in capsys.readouterr().err
@@ -93,6 +109,26 @@ def test_unknown_preset_is_config_error(capsys):
 
 def test_missing_resolution_is_config_error(capsys):
     assert main(["run", "--domain", "square", "--p", "1.5"]) == 2
+
+
+@pytest.mark.parametrize("flag, value", [("--n", "1"), ("--n", "0"), ("--level", "-1")])
+def test_mesh_without_interior_vertices_is_config_error(tmp_path, capsys, flag, value):
+    domain = "square" if flag == "--n" else "disk"
+    out = tmp_path / "out"
+    assert main(["run", "--domain", domain, f"{flag}={value}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_run_disk_level_zero(tmp_path, capsys):
+    # one interior vertex, at the centre
+    out = tmp_path / "out"
+    assert main(["run", "--domain", "disk", "--level", "0", "--out", str(out)]) in (0, 1)
+    for name in ("history.csv", "solution.vtk", "summary.json"):
+        assert (out / name).exists(), name
+    assert json.loads((out / "summary.json").read_text())["num_interior"] == 1
 
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):
@@ -326,6 +362,26 @@ def test_sweep_empty_value_list_is_config_error(tmp_path, capsys, monkeypatch, f
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"configuration error: {flag} has no values\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("domain, flag, value, message", [
+    ("square", "--level-list", "1,2", "--level-list does not apply to the square domain"),
+    ("disk", "--n-list", "4,6", "--n-list does not apply to the disk domain"),
+    ("square", "--g-list", "0.1,0.2,0.10", "--g-list repeats 0.1"),
+    ("square", "--n-list", "4,6,4", "--n-list repeats 4"),
+], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n"])
+def test_sweep_list_that_names_a_run_twice_is_config_error(tmp_path, capsys, monkeypatch,
+                                                          domain, flag, value, message):
+    def single(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(hbflow.cli, "run_single", single)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--domain", domain, "--n", "4", "--level", "1", flag, value,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 

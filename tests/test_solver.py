@@ -9,7 +9,7 @@ import hbflow.solver
 from hbflow.assembly import build_discrete_gradient, expand_dirichlet, gradient_magnitudes
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from hbflow.linesearch import LineSearchResult
-from hbflow.mesh import make_mesh
+from hbflow.mesh import build_unit_square_mesh, make_mesh
 from hbflow.solver import (
     LinearConfig,
     SolverConfig,
@@ -114,6 +114,15 @@ def test_solve_rejects_bad_warm_start(square4):
         solve(square4, cfg, 1.0, u0=np.zeros(square4.num_interior + 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solve_rejects_a_warm_start_that_is_not_finite(bad):
+    mesh = build_unit_square_mesh(6)
+    u0 = np.zeros(mesh.num_interior)
+    u0[7] = bad
+    with pytest.raises(ValueError, match="^u0 must be finite"):
+        solve(mesh, SolverConfig(p=1.5, g=0.2, gamma=10.0), 1.0, u0=u0)
+
+
 def test_config_validation():
     for bad in (2.5, True, -1, "3"):
         with pytest.raises(ValueError, match="max_iters"):
@@ -156,6 +165,17 @@ def test_continuation_ladder_warm_starts(square16):
     params = HuberParams(p=1.5, g=0.2, gamma=100.0)
     expected = evaluate_objective(square16, gradient, stages[0][1].u, params, load)
     assert stages[1][1].objective0 == pytest.approx(expected, rel=1e-12)
+
+
+def test_continuation_keeps_only_the_last_dual(square16):
+    cfg = SolverConfig(p=1.5, g=0.2, gamma=1000.0, max_iters=10)
+    stages = continuation_solve(square16, cfg, 1.0, gamma_start=10.0, gamma_end=1000.0)
+    assert [outcome.dual for _, outcome in stages[:-1]] == [None, None]
+    gamma, last = stages[-1]
+    dual = dual_field(build_discrete_gradient(square16), last.u,
+                      dataclasses.replace(cfg, gamma=gamma).huber_params())
+    for name in ("w", "active", "xi"):
+        assert np.array_equal(getattr(last.dual, name), getattr(dual, name)), name
 
 
 def test_continuation_validates_ladder(square4):
