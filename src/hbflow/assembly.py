@@ -12,9 +12,13 @@ of the constitutive law are methods of ``huber.HuberParams``):
 
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
-which is G^T D G, D = diag(w * area, w * area), assembled from a scatter
-plan that lives as long as G. It sums each entry in the order scipy's
-``G.T @ (D @ G)`` does, so the matrices are bit for bit the same.
+which is G^T D G, D = diag(w * area, w * area), computed from a scatter
+plan that lives as long as G. The plan sums each entry in the order scipy's
+``G.T @ (D @ G)`` does, so its entries are bit for bit that product's. It
+gives them three ways: ``values`` in CSR order with exact zeros kept,
+``assemble`` as the CSR matrix with those zeros dropped, and ``apply`` as
+the product A u, which builds no matrix and equals ``assemble(...) @ u``
+bit for bit (:func:`apply_weighted_stiffness`, the objective's gradient).
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
+from .linalg import matvec
 from .mesh import Mesh
 
 
@@ -75,7 +81,7 @@ def build_discrete_gradient(mesh: Mesh, *, restrict: bool = True) -> sp.csr_matr
 
 def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
     """Per-triangle |grad u^h|: xi_k = |(Gu)_k, (Gu)_{k+nt}|."""
-    g = gradient @ u
+    g = matvec(gradient, u)
     nt = g.shape[0] // 2
     return np.hypot(g[:nt], g[nt:])
 
@@ -94,6 +100,25 @@ def assemble_weighted_stiffness(
         The mesh's discrete gradient. Its scatter plan is built on the first
         call and reused by every later call with the same matrix.
     """
+    d = _scaled_weights(mesh, weights)
+    return _stiffness_pattern(gradient).assemble(gradient, d)
+
+
+def apply_weighted_stiffness(
+    mesh: Mesh, weights: np.ndarray, u: np.ndarray, *, gradient: sp.csr_matrix
+) -> np.ndarray:
+    """A u for the stiffness matrix A with these weights, without building A.
+
+    Takes the arguments of :func:`assemble_weighted_stiffness` plus u of
+    shape (n,), and returns ``assemble_weighted_stiffness(...) @ u`` bit for
+    bit for finite u.
+    """
+    d = _scaled_weights(mesh, weights)
+    return _stiffness_pattern(gradient).apply(gradient, d, u)
+
+
+def _scaled_weights(mesh: Mesh, weights: np.ndarray) -> np.ndarray:
+    """The checked weights times the triangle areas: the plan's d."""
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (mesh.num_triangles,):
         raise AssemblyError(
@@ -101,7 +126,7 @@ def assemble_weighted_stiffness(
         )
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
         raise AssemblyError("weights must be finite and nonnegative")
-    return _stiffness_pattern(gradient).assemble(gradient, weights * mesh.areas)
+    return weights * mesh.areas
 
 
 class _StiffnessPattern:
@@ -157,8 +182,8 @@ class _StiffnessPattern:
         first, counts = first[by_count], counts[by_count]
         self.terms = [flat[first[counts > s] + s] for s in range(counts[0])]
 
-    def assemble(self, gradient: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
-        """G^T diag(d, d) G for this plan's G, with d of shape (nt,)."""
+    def values(self, gradient: sp.csr_matrix, d: np.ndarray) -> np.ndarray:
+        """Entries of G^T diag(d, d) G in this plan's CSR order, exact zeros kept."""
         # numpy gathers twice as fast with intp indices: cast int32 ones first
         index, slots = np.empty(self.rank.size, dtype=np.intp), self.slots.astype(np.intp)
         products, acc = np.empty((3, 3, slots.shape[1])), np.zeros(self.rank.size)
@@ -169,10 +194,31 @@ class _StiffnessPattern:
                 index[:terms.size] = terms
                 acc[:terms.size] += products.reshape(-1)[index[:terms.size]]
         index[:] = self.rank
-        A = sp.csr_matrix((acc[index], self.indices.copy(), self.indptr.copy()),
+        return acc[index]
+
+    def assemble(self, gradient: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+        """G^T diag(d, d) G for this plan's G, with d of shape (nt,)."""
+        A = sp.csr_matrix((self.values(gradient, d), self.indices.copy(), self.indptr.copy()),
                           shape=self.shape)
         A.eliminate_zeros()
         return A
+
+    def apply(self, gradient: sp.csr_matrix, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``assemble(gradient, d) @ u`` without building the matrix.
+
+        It runs scipy's own CSR kernel on the entries of :meth:`values`.
+        Each row sum starts from +0.0, and under round-to-nearest such a sum
+        never becomes -0.0, so for finite u an exact-zero entry, which
+        ``assemble`` drops, adds nothing: the result has the product's bits.
+        """
+        n = self.shape[0]
+        u = np.ascontiguousarray(u, dtype=np.float64)
+        if u.shape != (n,):     # the kernel reads u unchecked
+            raise AssemblyError(f"u shape {u.shape} does not match {n} columns")
+        out = np.zeros(n)
+        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.values(gradient, d),
+                                u, out)
+        return out
 
 
 def _stiffness_pattern(gradient: sp.csr_matrix) -> _StiffnessPattern:

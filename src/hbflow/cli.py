@@ -8,7 +8,7 @@ aggregates the endpoints into one CSV.
 Configuration precedence, lowest to highest: built-in defaults, --preset,
 --config key=value file, explicit flags. Exit codes: 0 success, 1 solver
 did not converge, 2 bad configuration (an oversized problem included), 3 I/O
-failure.
+failure. A sweep exits with the largest code among its points.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     if not manifest.out.strip():
         # an empty path would write every output into the current directory
         raise ConfigError(f"output directory must not be empty, got {manifest.out!r}")
+    if manifest.domain not in ("square", "disk"):
+        raise ConfigError(f"unknown domain {manifest.domain!r} (square or disk)")
     return manifest
 
 
@@ -276,7 +278,12 @@ def _parse_list(name: str, raw: str, cast) -> list:
 
 
 def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
-    """Cartesian product of the requested value lists; one directory per point."""
+    """Cartesian product of the requested value lists; one directory per point.
+
+    Returns the largest exit code among the points, each point's being the
+    one ``hbflow run`` would return for it: 0, 1, or 2 for a configuration
+    error. ``aggregate.csv`` is written whatever the points return.
+    """
     lists = (("g", args.g_list, float), ("p", args.p_list, float),
              ("gamma", args.gamma_list, float), ("n", args.n_list, int),
              ("level", args.level_list, int))
@@ -292,6 +299,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
 
     names = [name for name, _ in axes]
     rows = []
+    worst = 0
     for combo in itertools.product(*(values for _, values in axes)):
         point = dict(zip(names, combo))
         tag = "-".join(f"{k}{_label(v)}" for k, v in point.items()) or "single"
@@ -300,7 +308,9 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
             code, summary = run_single(sub)
             rows.append((point, sub, summary, None))
         except (ValueError, LinearSolveError, LineSearchError) as exc:
+            code = 2 if isinstance(exc, ValueError) else 1     # as main maps them
             rows.append((point, sub, None, str(exc)))
+        worst = max(worst, code)
 
     lines = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"]
     for point, sub, summary, failure in rows:
@@ -316,7 +326,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
                 f"{summary['converged']}"
             )
     (base_out / "aggregate.csv").write_text("\n".join(lines) + "\n")
-    return 0
+    return worst
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:

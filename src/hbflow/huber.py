@@ -9,10 +9,11 @@ and the regularized objective over interior coefficients u is
 
     J(u) = (1/p) sum_T area * xi^p + sum_T area * psi_gamma(xi) - load . u
 
-with xi the per-triangle gradient magnitude. Its gradient is assembled from
-the two weighted stiffness matrices (p-Laplacian weight and Huber weight);
-a direct per-triangle accumulation of the same sum lives only in the test
-suite as an oracle.
+with xi the per-triangle gradient magnitude. Its gradient applies the two
+weighted stiffness operators (p-Laplacian weight and Huber weight) to u
+through the stiffness scatter plan, without building either matrix, and
+has the bits of the assembled matrices' products; a direct per-triangle
+accumulation of the same sum lives only in the test suite as an oracle.
 
 :class:`HuberParams` holds the whole pointwise constitutive law as methods
 of xi: psi_gamma, the two flux weights, and the shear-thinning
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import assemble_weighted_stiffness, gradient_magnitudes
+from .assembly import apply_weighted_stiffness, gradient_magnitudes
+# bound here only for the benchmark's huber.gradient_assembly hook (ROADMAP item 1)
+from .assembly import assemble_weighted_stiffness  # noqa: F401
 from .mesh import Mesh
 
 
@@ -134,14 +137,16 @@ def evaluate_gradient(
     """Gradient of the objective: A_u u + A_max u - load.
 
     A_u carries the p-Laplacian weight xi^(p-2) and A_max the Huber weight
-    g*gamma/max(g, gamma*xi), both evaluated at the current u. ``xi``, when
+    g*gamma/max(g, gamma*xi), both evaluated at the current u. Each product
+    comes from :func:`~hbflow.assembly.apply_weighted_stiffness`, which
+    builds no matrix and gives the assembled product's bits. ``xi``, when
     given, must be ``gradient_magnitudes(gradient, u)``.
     """
     if xi is None:
         xi = gradient_magnitudes(gradient, u)
-    a_u = assemble_weighted_stiffness(mesh, params.plaplacian_weight(xi), gradient=gradient)
-    a_max = assemble_weighted_stiffness(mesh, params.huber_weight(xi), gradient=gradient)
-    return a_u @ u + a_max @ u - load
+    a_u_u = apply_weighted_stiffness(mesh, params.plaplacian_weight(xi), u, gradient=gradient)
+    a_max_u = apply_weighted_stiffness(mesh, params.huber_weight(xi), u, gradient=gradient)
+    return a_u_u + a_max_u - load
 
 
 @dataclass(frozen=True)

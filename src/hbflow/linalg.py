@@ -13,6 +13,9 @@ scipy 1.17.1's ``scipy.sparse.linalg.cg`` with a diagonal preconditioner in
 the same order, one floating-point operation for another, so its iterates
 are scipy's bit for bit. It uses no fused multiply-add (BLAS ``axpy``),
 because that rounds once where scipy rounds twice.
+
+:func:`matvec` is the package's sparse matrix-vector product: ``A @ x`` bit
+for bit, without scipy's operator dispatch.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 
 @dataclass(frozen=True)
@@ -42,6 +46,24 @@ class LinearSolveError(RuntimeError):
         self.report = report
 
 
+def matvec(A, x) -> np.ndarray:
+    """``A @ x`` for a sparse A and a vector x, with the same bits.
+
+    For a float64 CSR matrix and an x that casts safely to float64, this
+    calls the kernel that ``A @ x`` calls, on x cast to contiguous float64,
+    as scipy casts it; anything else is ``A @ x`` itself.
+    """
+    xa = np.asarray(x)
+    if not (sp.issparse(A) and A.format == "csr" and A.ndim == 2 and A.dtype == np.float64
+            and xa.shape == (A.shape[1],) and np.can_cast(xa.dtype, np.float64)):
+        return A @ x
+    m, n = A.shape
+    out = np.zeros(m)
+    _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data,
+                            np.ascontiguousarray(xa, dtype=np.float64), out)
+    return out
+
+
 def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:
     """Sparse LU factor of the SPD matrix A, for repeated direct solves."""
     return spla.splu(A.tocsc())
@@ -57,7 +79,7 @@ def _jacobi_cg(A, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int,
     ``M = diags(inv_diag)``, in the same order: its preconditioner adds the
     product into zeros, so ``z += 0.0`` turns -0.0 into +0.0 as it does.
     """
-    r = b - A @ x if x.any() else b.copy()
+    r = b - matvec(A, x) if x.any() else b.copy()
     z = np.empty_like(r)
     scratch = np.empty_like(r)
     p = None
@@ -73,7 +95,7 @@ def _jacobi_cg(A, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int,
         else:
             p *= rho / rho_prev
             p += z
-        q = A @ p
+        q = matvec(A, p)
         alpha = rho / np.dot(p, q)
         np.multiply(alpha, p, out=scratch)
         x += scratch
@@ -138,7 +160,7 @@ def solve_spd(
         return np.zeros(n), SpdSolveReport(method, 0, 0.0, time.perf_counter() - t0)
 
     def verified(x):
-        return float(np.linalg.norm(A @ x - b)) / bnorm
+        return float(np.linalg.norm(matvec(A, x) - b)) / bnorm
 
     if factor is not None:
         x = factor.solve(b)

@@ -176,20 +176,72 @@ def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
             assert got.has_sorted_indices
 
 
-@pytest.mark.parametrize("p", [1.5, 4.0])
-def test_gradient_bits_equal_the_sparse_product(disk3, rng, p):
-    params = HuberParams(p=p, g=0.2, gamma=50.0)
-    gradient, load = build_discrete_gradient(disk3), assemble_load_vector(disk3, 1.0)
+@pytest.mark.parametrize("mesh, p, g, gamma", [
+    pytest.param("disk3", 1.5, 0.2, 50.0, id="1.5"),
+    pytest.param("disk3", 4.0, 0.2, 50.0, id="4.0"),
+    # right angles give exact-zero entries, which assemble drops and apply keeps
+    pytest.param("square16", 4.0, 0.2, 50.0, id="square-4.0"),
+    # p = 100 at two gamma values of the continuation ladder
+    pytest.param("square16", 100.0, 0.3, 1e3, id="square-100-gamma1e3"),
+    pytest.param("square16", 100.0, 0.3, 1e6, id="square-100-gamma1e6"),
+])
+def test_gradient_bits_equal_the_sparse_product(request, rng, mesh, p, g, gamma):
+    m = request.getfixturevalue(mesh)
+    params = HuberParams(p=p, g=g, gamma=gamma)
+    gradient, load = build_discrete_gradient(m), assemble_load_vector(m, 1.0)
     # zero on the left half, so the p-Laplacian weight has zeros there
-    x = disk3.vertices[disk3.interior_indices, 0]
-    u = np.where(x > 0.0, 0.5 * rng.standard_normal(x.size), 0.0)
+    x = m.vertices[m.interior_indices, 0]
+    middle = 0.5 * (m.vertices[:, 0].min() + m.vertices[:, 0].max())
+    u = np.where(x > middle, 0.5 * rng.standard_normal(x.size), 0.0)
     xi = gradient_magnitudes(gradient, u)
     assert np.any(params.plaplacian_weight(xi) == 0.0)
-    a_u = oracles.weighted_stiffness(disk3, params.plaplacian_weight(xi), gradient)
-    a_max = oracles.weighted_stiffness(disk3, params.huber_weight(xi), gradient)
+    if mesh.startswith("square"):   # the Huber weight is positive: zeros from geometry
+        plan = assembly._stiffness_pattern(gradient)
+        assert np.any(plan.values(gradient, params.huber_weight(xi) * m.areas) == 0.0)
+    a_u = oracles.weighted_stiffness(m, params.plaplacian_weight(xi), gradient)
+    a_max = oracles.weighted_stiffness(m, params.huber_weight(xi), gradient)
     want = a_u @ u + a_max @ u - load
-    got = evaluate_gradient(disk3, gradient, u, params, load)
+    got = evaluate_gradient(m, gradient, u, params, load)
+    assert np.all(np.isfinite(want))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("mesh", ["disk3", "square16"])
+def test_pattern_apply_bits_equal_the_assembled_product(request, rng, mesh):
+    m = request.getfixturevalue(mesh)
+    nt = m.num_triangles
+    spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
+    spread[rng.random(nt) < 0.3] = 0.0
+    for g in (build_discrete_gradient(m), build_discrete_gradient(m, restrict=False)):
+        plan = assembly._stiffness_pattern(g)
+        u = rng.standard_normal(g.shape[1])
+        u[rng.random(u.size) < 0.2] = 0.0
+        for d in (m.areas, spread * m.areas, np.zeros(nt)):
+            values = plan.values(g, d)
+            A = plan.assemble(g, d)
+            assert values.size == plan.indices.size >= A.nnz
+            assert np.array_equal(values[values != 0.0], A.data)
+            want = A @ u
+            assert np.array_equal(plan.apply(g, d, u).view(np.int64), want.view(np.int64))
+        with pytest.raises(AssemblyError):
+            plan.apply(g, m.areas, u[:-1])
+
+
+def test_gradient_assembles_no_matrix(square16, rng, monkeypatch):
+    calls = []
+    assemble = assembly._StiffnessPattern.assemble
+
+    def counting(self, gradient, d):
+        calls.append(1)
+        return assemble(self, gradient, d)
+
+    monkeypatch.setattr(assembly._StiffnessPattern, "assemble", counting)
+    params = HuberParams(p=4.0, g=0.2, gamma=50.0)
+    gradient, load = build_discrete_gradient(square16), assemble_load_vector(square16, 1.0)
+    evaluate_gradient(square16, gradient, rng.standard_normal(gradient.shape[1]), params, load)
+    assert calls == []
+    assemble_weighted_stiffness(square16, np.ones(square16.num_triangles), gradient=gradient)
+    assert calls == [1]     # the counter sees a real assembly
 
 
 @pytest.fixture

@@ -25,7 +25,8 @@ from hbflow.cli import (
     parse_config_file,
 )
 from hbflow.export import CSV_HEADER
-from hbflow.linesearch import LineSearchConfig
+from hbflow.linalg import LinearSolveError
+from hbflow.linesearch import LineSearchConfig, LineSearchError
 from hbflow.solver import SolverConfig, continuation_solve
 
 
@@ -348,6 +349,56 @@ def test_sweep_aggregates(tmp_path, capsys):
         assert (out / "runs" / tag / "summary.json").exists()
         run_summary = json.loads((out / "runs" / tag / "summary.json").read_text())
         assert run_summary["converged"] is True
+
+
+@pytest.mark.parametrize("n_list, max_iters, code", [
+    ("6", "120", 0),
+    ("6", "1", 1),
+    ("1,6", "120", 2),
+    ("1,6", "1", 2),
+], ids=["converged", "iteration-cap", "no-interior-point", "cap-and-no-interior-point"])
+def test_sweep_exits_with_the_largest_point_code(tmp_path, capsys, n_list, max_iters, code):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--preset", "exp2-mesh-study", "--gamma", "50", "--max-iters", max_iters,
+            "--n-list", n_list, "--g-list", "0.1,0.2", "--out", str(out)]
+    assert main(argv) == code
+    rows = (out / "aggregate.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * len(n_list.split(","))
+    assert sum("failed: " in row for row in rows) == (2 if n_list == "1,6" else 0)
+
+
+@pytest.mark.parametrize("point_failure, code", [
+    (LinearSolveError("pcg stalled", None), 1),
+    (LineSearchError("no descent"), 1),
+    (ConfigError("bad point"), 2),
+], ids=["linear-solve", "line-search", "config"])
+def test_sweep_point_exceptions_map_to_run_codes(tmp_path, capsys, monkeypatch,
+                                                 point_failure, code):
+    def single(manifest):
+        raise point_failure
+
+    monkeypatch.setattr(hbflow.cli, "run_single", single)
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--domain", "square", "--n", "4", "--g-list", "0.1", "--out", str(out)]
+    assert main(argv) == code
+    assert (out / "aggregate.csv").read_text().splitlines()[1].endswith(
+        f"failed: {point_failure}")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_unknown_domain_is_config_error(tmp_path, capsys, monkeypatch, command):
+    def single(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(hbflow.cli, "run_single", single)
+    cfg = write(tmp_path / "tri.cfg", "domain = tri\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", cfg, "--n", "4", "--out", str(out)]
+    if command == "sweep":
+        argv += ["--g-list", "0.1,0.2"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "configuration error: unknown domain 'tri' (square or disk)\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--g-list", ","), ("--n-list", ""),

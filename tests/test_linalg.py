@@ -5,13 +5,37 @@ import scipy.sparse as sp
 import hbflow.linalg
 
 from hbflow.assembly import assemble_weighted_stiffness, build_discrete_gradient
-from hbflow.linalg import LinearSolveError, factorize_spd, solve_spd
+from hbflow.linalg import LinearSolveError, factorize_spd, matvec, solve_spd
 import oracles
 
 
 def poisson_matrix(mesh):
     return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]),
                                        gradient=build_discrete_gradient(mesh))
+
+
+def _same_bits(got, want):
+    return (type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+            and np.array_equal(got.view(np.int64), want.view(np.int64)))
+
+
+@pytest.mark.parametrize("case", ["gradient", "stiffness", "integer-x", "strided-x",
+                                  "csc", "column-x"])
+def test_matvec_has_the_bits_of_the_sparse_product(disk3, rng, case):
+    G = build_discrete_gradient(disk3)
+    A = G if case == "gradient" else poisson_matrix(disk3)
+    x = rng.standard_normal(A.shape[1])
+    x[rng.random(x.size) < 0.2] = 0.0
+    if case == "integer-x":
+        x = rng.integers(-5, 6, A.shape[1])
+    elif case == "strided-x":
+        x = rng.standard_normal(2 * A.shape[1])[::2]
+        assert not x.flags.c_contiguous
+    elif case == "csc":
+        A = A.tocsc()
+    elif case == "column-x":
+        x = x[:, None]
+    assert _same_bits(matvec(A, x), A @ x)
 
 
 def factor_for(method, A):
