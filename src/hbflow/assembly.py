@@ -12,10 +12,14 @@ of the constitutive law are methods of ``huber.HuberParams``):
 
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
-which is G^T D G, D = diag(w * area, w * area), computed from a scatter
-plan that lives as long as G. The plan sums each entry in the order scipy's
-``G.T @ (D @ G)`` does, so its entries are bit for bit that product's. It
-gives them three ways: ``values`` in CSR order with exact zeros kept,
+which is G^T D G, D = diag(w * area, w * area), computed from a plan built
+once per G that lives as long as G. The plan holds the G values of each
+entry's terms as a constant sparse term matrix, so the entries are two runs
+of scipy's CSR matrix-vector kernel, on the x terms and then the y terms,
+into one zeroed array. The kernel starts each row from the array's value
+and adds each term as one product, so every entry is summed in the order
+and rounding of scipy's ``G.T @ (D @ G)``, bit for bit. The plan gives the
+entries three ways: ``values`` in CSR order with exact zeros kept,
 ``assemble`` as the CSR matrix with those zeros dropped, and ``apply`` as
 the product A u, which builds no matrix and equals ``assemble(...) @ u``
 bit for bit (:func:`apply_weighted_stiffness`, the objective's gradient).
@@ -130,15 +134,14 @@ def _scaled_weights(mesh: Mesh, weights: np.ndarray) -> np.ndarray:
 
 
 class _StiffnessPattern:
-    """Scatter plan of G^T D G for one discrete gradient G.
+    """Term matrix S of G^T D G for one discrete gradient G.
 
-    Rows t and t + nt of G (x and y) share the at most three columns of
-    triangle t, at ``slots`` (3, nt) in G's x data. Entry (i, j) sums
-    G[k, i] * (d[k] * G[k, j]) from zero over rows k ascending, as scipy's
-    product does. Entries are ranked by term count, most first, so the s-th
-    terms of all entries that have one add to a prefix: ``terms[s]`` holds
-    their flat indices into the (3, 3, nt) products, and ``rank`` each CSR
-    entry's place in the ranking.
+    Entry (i, j) sums G[k, i] * (d[k] * G[k, j]) from zero over the rows k
+    of G ascending, as scipy's product does. Row r of S holds the terms of
+    the r-th entry in CSR order, triangles ascending. A term's data is
+    G[k, i], ``term_data[0]`` for the x row k and ``term_data[1]`` for the
+    y row; its column, ``term_indices``, is the slot of G[k, j] in G's x
+    data, which the y data repeats. ``lengths`` counts each triangle's slots.
     """
 
     def __init__(self, gradient: sp.csr_matrix):
@@ -146,55 +149,51 @@ class _StiffnessPattern:
             raise AssemblyError(f"gradient must be CSR, got {gradient.format}")
         n, nt = gradient.shape[1], gradient.shape[0] // 2
         indptr, indices, self.nx = gradient.indptr, gradient.indices, int(gradient.indptr[nt])
-        lengths = np.diff(indptr[:nt + 1])
-        if (np.any(lengths > 3) or not np.array_equal(indptr[nt:] - self.nx, indptr[:nt + 1])
+        self.lengths = np.diff(indptr[:nt + 1])
+        if (np.any(self.lengths > 3) or not np.array_equal(indptr[nt:] - self.nx, indptr[:nt + 1])
                 or not np.array_equal(indices[:self.nx], indices[self.nx:])):
             raise AssemblyError("gradient rows t and t + nt must share at most 3 columns")
-        slot = np.arange(3)[:, None]
-        valid = slot < lengths
-        self.slots = np.where(valid, indptr[:nt] + slot, 0).astype(np.int32)
-        cols = indices[self.slots].ravel()
 
-        # every term, triangles ascending: its flat index and its entry's key
-        pairs = valid.T[:, :, None] & valid.T[:, None, :]         # (nt, 3, 3)
-        t, flat = np.divmod(np.flatnonzero(pairs).astype(np.int32), 9)
-        a, b = np.divmod(flat, 3)
-        for x in (a, b, flat):
-            x *= nt
-            x += t
-        del pairs, t
-        keys = cols[a].astype(np.int32 if n * n < 2**31 else np.int64) * n + cols[b]
-        del a, b
+        # every term, triangles ascending: the x slots a, b of G[k, i], G[k, j]
+        valid = np.arange(3) < self.lengths[:, None]
+        valid = valid[:, :, None] & valid[:, None, :]                   # (nt, 3, 3)
+        t, ab = np.divmod(np.flatnonzero(valid).astype(np.int32), 9)
+        a, b = np.divmod(ab, 3)
+        a += indptr[t]
+        b += indptr[t]
+        del valid, t, ab
+        keys = indices[a].astype(np.int32 if n * n < 2**31 else np.int64) * n + indices[b]
         order = np.argsort(keys, kind="stable")    # triangles stay ascending per entry
-        flat, keys = flat[order], keys[order]
+        self.term_indices = b[order]
+        del b
+        a = a[order]
+        keys = keys[order]
         del order
-        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).astype(np.int32)
-        counts = np.diff(first, append=keys.size)
+        first = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]]).astype(np.int32)
+        self.term_indptr = np.append(first, np.int32(keys.size))
         keys = keys[first]
         self.shape = (n, n)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        del keys
-
-        by_count = np.argsort(-counts, kind="stable")
-        self.rank = np.empty(by_count.size, dtype=np.int32)
-        self.rank[by_count] = np.arange(by_count.size, dtype=np.int32)
-        first, counts = first[by_count], counts[by_count]
-        self.terms = [flat[first[counts > s] + s] for s in range(counts[0])]
+        self.term_data = tuple(half[a] for half in gradient.data.reshape(2, -1))
 
     def values(self, gradient: sp.csr_matrix, d: np.ndarray) -> np.ndarray:
-        """Entries of G^T diag(d, d) G in this plan's CSR order, exact zeros kept."""
-        # numpy gathers twice as fast with intp indices: cast int32 ones first
-        index, slots = np.empty(self.rank.size, dtype=np.intp), self.slots.astype(np.intp)
-        products, acc = np.empty((3, 3, slots.shape[1])), np.zeros(self.rank.size)
-        for values in (gradient.data[:self.nx], gradient.data[self.nx:]):
-            g = values[slots]
-            np.multiply(g[:, None, :], (d * g)[None, :, :], out=products)
-            for terms in self.terms:
-                index[:terms.size] = terms
-                acc[:terms.size] += products.reshape(-1)[index[:terms.size]]
-        index[:] = self.rank
-        return acc[index]
+        """Entries of G^T diag(d, d) G in this plan's CSR order, exact zeros kept.
+
+        Each is 0 + x terms + y terms: S times d[k] * G[k, j], half by half.
+        """
+        nt = self.lengths.size
+        # the kernel reads its index and vector arguments unchecked
+        if np.shape(d) != (nt,):
+            raise AssemblyError(f"d shape {np.shape(d)} does not match {nt} triangles")
+        if gradient.shape != (2 * nt, self.shape[1]) or gradient.data.size != 2 * self.nx:
+            raise AssemblyError("gradient is not the one this plan was built from")
+        dg = gradient.data.reshape(2, -1) * np.repeat(d, self.lengths)    # d[k] * G[k, j]
+        out = np.zeros(self.indices.size)
+        for terms, g in zip(self.term_data, dg):
+            _sparsetools.csr_matvec(out.size, self.nx, self.term_indptr, self.term_indices,
+                                    terms, g, out)
+        return out
 
     def assemble(self, gradient: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
         """G^T diag(d, d) G for this plan's G, with d of shape (nt,)."""

@@ -156,7 +156,7 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
 
 
 def build_unit_square_mesh(n: int) -> Mesh:
-    """Criss-cross triangulation of the unit square with n x n cells.
+    """Triangulation of the unit square with n x n cells, all cut the same way.
 
     Each of the n^2 grid cells is split along the same diagonal into two
     right triangles, giving 2 n^2 triangles and (n+1)^2 vertices. The mesh

@@ -72,7 +72,7 @@ def test_local_stiffness_single_triangle():
 
 
 def test_five_point_stencil_value():
-    # criss-cross P1 Laplacian reduces to the 5-point stencil: diagonal 4
+    # on cells cut along one diagonal the P1 Laplacian is the 5-point stencil: diagonal 4
     m = build_unit_square_mesh(2)
     a = assemble_weighted_stiffness(m, np.ones(m.triangles.shape[0]),
                                     gradient=build_discrete_gradient(m))
@@ -152,15 +152,25 @@ def _single_triangle():
     return make_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
 
+def _two_triangles(nv):
+    """The unit square's two triangles among nv vertices; the nv - 4 others touch none."""
+    vertices = np.zeros((nv, 2))
+    vertices[:4] = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    return make_mesh(vertices, np.array([[0, 1, 2], [0, 2, 3]]))
+
+
 @pytest.mark.parametrize("mesh", [
     *[pytest.param(("disk", level), id=f"disk{level}") for level in range(5)],
     *[pytest.param(("square", n), id=f"square{n}") for n in (1, 2, 3, 8)],
     pytest.param(("triangle", 0), id="triangle"),
+    # n = 50,000 columns, so the entry keys i * n + j need int64; the
+    # restricted gradient's columns are the untouched vertices: it has no entry
+    pytest.param(("wide", 50_000), id="wide-keys"),
 ])
 def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
     kind, size = mesh
-    m = {"disk": build_unit_disk_mesh, "square": build_unit_square_mesh}.get(
-        kind, lambda _: _single_triangle())(size)
+    m = {"disk": build_unit_disk_mesh, "square": build_unit_square_mesh,
+         "wide": _two_triangles}.get(kind, lambda _: _single_triangle())(size)
     nt = m.num_triangles
     spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
     spread[rng.random(nt) < 0.3] = 0.0
@@ -225,6 +235,38 @@ def test_pattern_apply_bits_equal_the_assembled_product(request, rng, mesh):
             assert np.array_equal(plan.apply(g, d, u).view(np.int64), want.view(np.int64))
         with pytest.raises(AssemblyError):
             plan.apply(g, m.areas, u[:-1])
+
+
+def test_plan_rejects_another_gradient_and_a_wrong_d(square3, square4):
+    g = build_discrete_gradient(square4)
+    plan, d, u = assembly._stiffness_pattern(g), square4.areas, np.ones(g.shape[1])
+    pruned = g.copy()
+    pruned.data[0] = 0.0
+    pruned.eliminate_zeros()        # same shape, one slot fewer
+    others = (build_discrete_gradient(square3), build_discrete_gradient(square4, restrict=False),
+              pruned)
+    for other in others:
+        with pytest.raises(AssemblyError):
+            plan.values(other, d)
+        with pytest.raises(AssemblyError):
+            plan.apply(other, d, u)
+    for bad in (d[:-1], np.append(d, 1.0), d[:, None]):
+        with pytest.raises(AssemblyError):
+            plan.values(g, bad)
+        with pytest.raises(AssemblyError):
+            plan.apply(g, bad, u)
+
+
+def test_plan_keeps_int32_indices_and_at_most_28_bytes_per_term(square16):
+    plan = assembly._stiffness_pattern(build_discrete_gradient(square16))
+    terms = plan.term_indices.size
+    assert terms < 2**31
+    for name in ("indices", "indptr", "term_indices", "term_indptr"):
+        assert getattr(plan, name).dtype == np.int32, name
+    assert all(x.flags.c_contiguous for x in plan.term_data)   # else each call copies them
+    resident = sum(x.nbytes for x in (*vars(plan).values(), *plan.term_data)
+                   if isinstance(x, np.ndarray))
+    assert resident <= 28 * terms
 
 
 def test_gradient_assembles_no_matrix(square16, rng, monkeypatch):
