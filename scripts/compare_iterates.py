@@ -10,8 +10,10 @@ benchmark, bytecode writing off and a scratch working directory, so
 neither checkout is written to. Every history row, every line-search trial
 step and the final u are compared as float hex, stage by stage, with
 objective0, grad0_norm, converged and failure_reason. Prints one line per
-difference; exits 0 when there is none, 1 otherwise, and 2 on a usage error
-or a run that fails.
+difference and, for a workload that differs, one more with the relative
+drift of its final J and ||u||, the two values the benchmark checks against
+its references. Exits 0 when there is no difference, 1 otherwise, and 2 on
+a usage error or a run that fails.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 # iterates as JSON, every float as float.hex().
 CHILD = r"""
 import dataclasses, json, sys
+import numpy as np
 root, name = sys.argv[1], sys.argv[2]
 sys.path[:0] = [root + "/src", root + "/benchmarks"]
 from hbflow import mesh, solver
@@ -58,6 +61,7 @@ def row(record):
 
 json.dump([{"gamma": h(gamma), "objective0": h(o.objective0), "grad0_norm": h(o.grad0_norm),
             "converged": o.converged, "failure_reason": o.failure_reason,
+            "J": h(o.final_objective), "u_norm": h(np.linalg.norm(o.u)),
             "history": [row(r) for r in o.history],
             "trials": [[h(a) for a in t] for t in o.linesearch_trials],
             "u": [h(v) for v in o.u]}
@@ -109,6 +113,10 @@ def compare_stages(name: str, a: list[dict], b: list[dict]) -> list[str]:
             i = differ[0]
             lines.append(f"{where} u: {len(differ)} of {len(ua)} entries differ, "
                          f"first at index {i}: {ua[i]} != {ub[i]}")
+    if lines and a and b:
+        ends = [(float.fromhex(a[-1][key]), float.fromhex(b[-1][key])) for key in ("J", "u_norm")]
+        drift = [abs(y - x) / abs(x) for x, y in ends]
+        lines.append(f"{name} drift: final J {drift[0]:.3e}, ||u|| {drift[1]:.3e} relative")
     return lines
 
 

@@ -41,34 +41,22 @@ class AssemblyError(ValueError):
     """Inconsistent shapes or invalid weights passed to an assembly routine."""
 
 
-def build_discrete_gradient(mesh: Mesh, *, restrict: bool = True) -> sp.csr_matrix:
-    """Sparse matrix taking vertex coefficients to per-triangle gradients.
+def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
+    """Sparse matrix taking interior vertex coefficients to per-triangle gradients.
 
-    Parameters
-    ----------
-    mesh : Mesh
-    restrict : bool
-        With the default True, columns run over interior vertices only
-        (homogeneous Dirichlet data baked in). With False, columns run over
-        all vertices; this variant exists for whole-space identities such
-        as zero row sums of the unweighted stiffness matrix.
+    Columns run over interior vertices only, so homogeneous Dirichlet data
+    is baked in.
 
     Returns
     -------
-    csr_matrix, shape (2 nt, n)
-        n is the interior vertex count (or nv when ``restrict=False``).
+    csr_matrix, shape (2 nt, num_interior)
     """
     nt = mesh.num_triangles
-    if restrict:
-        cols_of_vertex = mesh.dof_index
-        ncols = mesh.num_interior
-        if ncols == 0:
-            raise AssemblyError("mesh has no interior vertices")
-    else:
-        cols_of_vertex = np.arange(mesh.num_vertices)
-        ncols = mesh.num_vertices
+    ncols = mesh.num_interior
+    if ncols == 0:
+        raise AssemblyError("mesh has no interior vertices")
 
-    tri_cols = cols_of_vertex[mesh.triangles]          # (nt, 3), -1 for dropped
+    tri_cols = mesh.dof_index[mesh.triangles]          # (nt, 3), -1 for dropped
     keep = tri_cols >= 0
     t_idx, local = np.nonzero(keep)
     cols = tri_cols[t_idx, local]
@@ -230,10 +218,8 @@ def _stiffness_pattern(gradient: sp.csr_matrix) -> _StiffnessPattern:
 def assemble_load_vector(
     mesh: Mesh,
     f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
-    *,
-    restrict: bool = True,
 ) -> np.ndarray:
-    """Load vector via the vertex quadrature (1/3) * area * sum of values.
+    """Interior load vector via the vertex quadrature (1/3) * area * sum of values.
 
     The quadrature is exact for P1 integrands. ``f`` is a constant or a
     vectorized callable of the coordinate arrays (x, y).
@@ -250,10 +236,7 @@ def assemble_load_vector(
     third = mesh.areas / 3.0
     for k in range(3):
         np.add.at(lumped, mesh.triangles[:, k], third)
-    load = lumped * fv
-    if restrict:
-        return load[mesh.interior_indices]
-    return load
+    return (lumped * fv)[mesh.interior_indices]
 
 
 def expand_dirichlet(mesh: Mesh, u: np.ndarray) -> np.ndarray:

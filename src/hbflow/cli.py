@@ -30,7 +30,15 @@ from .export import write_history_csv, write_vtk
 from .linalg import LinearSolveError
 from .linesearch import LineSearchConfig, LineSearchError
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
-from .solver import SolveOutcome, SolverConfig, _wp_seminorm, continuation_solve
+from .solver import (
+    GAMMA_END,
+    GAMMA_FACTOR,
+    GAMMA_START,
+    SolveOutcome,
+    SolverConfig,
+    _wp_seminorm,
+    continuation_solve,
+)
 
 
 class ConfigError(ValueError):
@@ -45,14 +53,14 @@ class RunManifest:
     p: float = 2.0
     g: float = 0.2
     gamma: float = 1e3
-    epsilon: float = 1e-6
+    epsilon: float = SolverConfig.epsilon
     f: float = 1.0
-    tol: float = 1e-6
-    max_iters: int = 100
-    sigma1: float = 1e-4
+    tol: float = SolverConfig.tol
+    max_iters: int = SolverConfig.max_iters
+    sigma1: float = LineSearchConfig.sigma1
     continuation: bool = False
-    gamma_start: float = 10.0
-    gamma_end: float = 1e6
+    gamma_start: float = GAMMA_START
+    gamma_end: float = GAMMA_END
     out: str = "out"
     preset: str | None = None
 
@@ -144,15 +152,14 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
 
 
 def build_mesh(manifest: RunManifest) -> Mesh:
+    """The manifest's mesh; ``build_manifest`` has checked its domain."""
     if manifest.domain == "square":
         if manifest.n is None:
             raise ConfigError("square domain needs --n")
         return build_unit_square_mesh(manifest.n)
-    if manifest.domain == "disk":
-        if manifest.level is None:
-            raise ConfigError("disk domain needs --level")
-        return build_unit_disk_mesh(manifest.level)
-    raise ConfigError(f"unknown domain {manifest.domain!r} (square or disk)")
+    if manifest.level is None:
+        raise ConfigError("disk domain needs --level")
+    return build_unit_disk_mesh(manifest.level)
 
 
 def solver_config(manifest: RunManifest) -> SolverConfig:
@@ -294,6 +301,9 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
             continue
         if name == unread:
             raise ConfigError(f"--{name}-list does not apply to the {manifest.domain} domain")
+        if name == "gamma" and manifest.continuation:
+            # every point would run the same ladder under a different label
+            raise ConfigError("--gamma-list does not apply to a continuation run")
         axes.append((name, _parse_list(name, raw, cast)))
     base_out = _make_outdir(manifest.out)
 
@@ -342,7 +352,8 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iters", dest="max_iters", type=int)
     sub.add_argument("--sigma1", type=float, help="Armijo slope fraction")
     sub.add_argument("--continuation", action="store_const", const=True, default=None,
-                     help="solve over the gamma ladder 1e1..1e6 with warm starts")
+                     help=f"solve over the gamma ladder {GAMMA_START:.0e}..{GAMMA_END:.0e}, "
+                          f"x{GAMMA_FACTOR:g} per stage, with warm starts")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--preset", help="named parameter bundle: " + ", ".join(sorted(PRESETS)))
     sub.add_argument("--config", help="key=value file, overridden by explicit flags")

@@ -45,6 +45,11 @@ from .linalg import factorize_spd, matvec, solve_spd
 from .linesearch import LineSearchConfig, backtracking_search
 from .mesh import Mesh
 
+# the continuation ladder: gamma from GAMMA_START to GAMMA_END, GAMMA_FACTOR per stage
+GAMMA_START = 10.0
+GAMMA_FACTOR = 10.0
+GAMMA_END = 1e6
+
 
 @dataclass(frozen=True)
 class LinearConfig:
@@ -256,14 +261,13 @@ def continuation_solve(
     mesh: Mesh,
     config: SolverConfig,
     f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
-    gamma_start: float = 10.0,
-    factor: float = 10.0,
-    gamma_end: float = 1e6,
+    gamma_start: float = GAMMA_START,
+    gamma_end: float = GAMMA_END,
 ) -> list[tuple[float, SolveOutcome]]:
     """Warm-started solves over a geometric gamma ladder.
 
     Stage one starts from the Poisson iterate at ``gamma_start``; each later
-    stage multiplies gamma by ``factor`` and starts from the previous
+    stage multiplies gamma by ``GAMMA_FACTOR`` and starts from the previous
     stage's solution. Stops after the stage with gamma >= ``gamma_end`` (the
     ladder includes gamma_end when it is hit exactly). A stage that merely
     exhausts max_iters still seeds the next stage with its best iterate; only
@@ -273,10 +277,9 @@ def continuation_solve(
     Only the last stage keeps its dual field; a stage that seeds the next
     has ``dual=None``.
     """
-    if not (np.isfinite([gamma_start, factor, gamma_end]).all() and gamma_start > 0.0
-            and factor > 1.0 and gamma_end >= gamma_start):
-        raise ValueError(f"need finite gamma_start > 0, factor > 1 and gamma_end >= "
-                         f"gamma_start, got {gamma_start}, {factor}, {gamma_end}")
+    if not (np.isfinite([gamma_start, gamma_end]).all() and 0.0 < gamma_start <= gamma_end):
+        raise ValueError(f"need finite gamma_start > 0 and gamma_end >= gamma_start, "
+                         f"got {gamma_start}, {gamma_end}")
     problem = _Problem.build(mesh, f, config.linear)
     stages: list[tuple[float, SolveOutcome]] = []
     gamma = gamma_start
@@ -291,7 +294,7 @@ def continuation_solve(
             break
         outcome.dual = None
         u = outcome.u
-        gamma *= factor
+        gamma *= GAMMA_FACTOR
     return stages
 
 

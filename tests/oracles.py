@@ -5,7 +5,11 @@ shared code paths: meshes vertex by vertex with edges counted in a dict,
 areas via the shoelace formula, per-triangle gradients via an explicit plane
 fit through the three vertex values, the objective as a plain Python loop
 over triangles, and gradients by central differences of that loop. Slow on
-purpose; only ever run on tiny meshes.
+purpose; only ever run on tiny meshes. The discrete gradient and the load
+over all vertices, boundary included, are built here triangle by triangle,
+for whole-space identities the package's interior-only operators cannot
+show. The exact radially symmetric solution on the unit disk comes from a
+scalar equation per radius and 1-D quadrature.
 
 Three oracles keep an earlier implementation instead, for bit-for-bit and
 byte-for-byte comparison: the weighted stiffness as scipy's sparse product
@@ -80,6 +84,89 @@ def gradient(mesh, u, p, g, gamma, f):
             out[idx[k]] += area * w * (gx * bx + gy * by)
             out[idx[k]] -= area * f / 3.0
     return out[~mesh.boundary_vertex]
+
+
+def full_gradient(mesh):
+    """(2 nt, nv) gradient over all vertices: row t holds the x derivatives of
+    triangle t's three basis functions, row t + nt the y derivatives, each
+    from a plane fit, columns ascending and exact zeros stored."""
+    nt = mesh.triangles.shape[0]
+    cols, gx, gy = [], [], []
+    for idx in mesh.triangles:
+        pts = mesh.vertices[idx]
+        for k in np.argsort(idx):
+            bx, by = plane_gradient(pts, np.eye(3)[k])
+            cols.append(idx[k])
+            gx.append(bx)
+            gy.append(by)
+    return sp.csr_matrix((np.array(gx + gy), np.array(cols + cols), np.arange(0, 6 * nt + 1, 3)),
+                         shape=(2 * nt, mesh.vertices.shape[0]))
+
+
+def full_load(mesh, f):
+    """Load over all vertices: each triangle adds area/3 times f at each of its
+    vertices. ``f`` is a constant or a callable of (x, y)."""
+    out = np.zeros(mesh.vertices.shape[0])
+    for idx in mesh.triangles:
+        area = shoelace_area(mesh.vertices[idx])
+        for v in idx:
+            x, y = mesh.vertices[v]
+            out[v] += area / 3.0 * (f(x, y) if callable(f) else f)
+    return out
+
+
+def radial_solution(p, g, f, gamma):
+    """Exact minimizer of the regularized problem on the unit disk, f > 0.
+
+    The shear stress is f r / 2, so xi = |u'(r)| solves
+    xi^(p-1) + min(g, gamma xi) = f r / 2 (gamma = inf: the unregularized
+    law, xi = max(f r/2 - g, 0)^(1/(p-1))). Returns (xi, u, J): xi and u as
+    vectorized functions of r in [0, 1], with u(r) the integral of xi from r
+    to 1, and J = 2 pi int_0^1 [(xi^p/p + psi(xi)) r - f xi r^2/2] dr, the
+    load term integrated by parts. The integrals are 10-point Gauss-Legendre
+    rules on a grid of 2000 cells that breaks where the law turns active.
+    """
+    xi_kink = 0.0 if np.isinf(gamma) else g / gamma
+    t_kink = xi_kink ** (p - 1.0) + g           # the shear stress where it turns active
+
+    def xi(r):
+        t = 0.5 * f * np.asarray(r, dtype=float)
+        active = t >= t_kink
+        out = np.where(active, t - g, 0.0) ** (1.0 / (p - 1.0))
+        if np.isinf(gamma) or active.all():
+            return out
+        # inactive: xi^(p-1) + gamma xi = t has its root in [0, t / gamma]
+        lo, hi = np.zeros_like(t), t / gamma
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            low = mid ** (p - 1.0) + gamma * mid < t
+            lo, hi = np.where(low, mid, lo), np.where(low, hi, mid)
+        return np.where(active, out, 0.5 * (lo + hi))
+
+    def cells(extra=()):
+        return np.unique(np.r_[np.linspace(0.0, 1.0, 2001), min(2.0 * t_kink / f, 1.0), extra])
+
+    def integrals(breaks, fn):
+        """The integral of fn over each cell between consecutive breaks."""
+        nodes, weights = np.polynomial.legendre.leggauss(10)
+        mid, half = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * np.diff(breaks)
+        return half * (fn(mid[:, None] + half[:, None] * nodes) @ weights)
+
+    def u(r):
+        r = np.asarray(r, dtype=float)
+        breaks = cells(r.ravel())
+        tail = np.r_[np.cumsum(integrals(breaks, xi)[::-1])[::-1], 0.0]
+        return tail[np.searchsorted(breaks, r)]
+
+    def density(r):
+        x = xi(r)
+        if np.isinf(gamma):
+            huber = g * x
+        else:
+            huber = np.where(gamma * x >= g, g * x - g * g / (2.0 * gamma), 0.5 * gamma * x * x)
+        return (x**p / p + huber) * r - 0.5 * f * x * r * r
+
+    return xi, u, 2.0 * np.pi * float(np.sum(integrals(cells(), density)))
 
 
 def gradient_fd(mesh, u, p, g, gamma, f, step=1e-7):

@@ -88,8 +88,7 @@ def c4_runs():
     for g in (0.3, 0.4):
         cfg = SolverConfig(p=100.0, g=g, gamma=1e6, tol=1e-6,
                            max_iters=300, linear=DIRECT)
-        stages = continuation_solve(mesh, cfg, 3.0, gamma_start=10.0,
-                                    factor=10.0, gamma_end=1e6)
+        stages = continuation_solve(mesh, cfg, 3.0, gamma_start=10.0, gamma_end=1e6)
         runs[g] = (stages, solve(mesh, cfg, 3.0))
     return runs
 
@@ -285,8 +284,7 @@ def c7_errors():
     for p in (1.5, 4.0):
         cfg = SolverConfig(p=p, g=0.2, gamma=1e6, tol=1e-6,
                            max_iters=200, linear=DIRECT)
-        stages = continuation_solve(mesh, cfg, 3.0, gamma_start=1e2,
-                                    factor=10.0, gamma_end=1e6)
+        stages = continuation_solve(mesh, cfg, 3.0, gamma_start=1e2, gamma_end=1e6)
         by_gamma = {gamma: out.u for gamma, out in stages}
         ref = stages[-1][1].u
         data[p] = [

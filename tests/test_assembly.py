@@ -28,13 +28,15 @@ LOCAL_STIFFNESS = np.array([
 
 
 def test_gradient_shape_and_affine_exactness(square3):
-    g_full = build_discrete_gradient(square3, restrict=False)
+    g_full = oracles.full_gradient(square3)
     nt = square3.triangles.shape[0]
     assert g_full.shape == (2 * nt, square3.vertices.shape[0])
     vals = 2.0 * square3.vertices[:, 0] - 0.5 * square3.vertices[:, 1]
     gv = g_full @ vals
     assert np.allclose(gv[:nt], 2.0, atol=1e-13)
     assert np.allclose(gv[nt:], -0.5, atol=1e-13)
+    g = build_discrete_gradient(square3)
+    assert np.allclose(g.toarray(), g_full[:, square3.interior_indices].toarray(), atol=1e-13)
 
 
 def test_restricted_gradient_columns(square3):
@@ -42,13 +44,13 @@ def test_restricted_gradient_columns(square3):
     assert g.shape == (2 * square3.triangles.shape[0], square3.num_interior)
 
 
-def test_gradient_matches_plane_fit(square2, rng):
-    g_full = build_discrete_gradient(square2, restrict=False)
-    vals = rng.standard_normal(square2.vertices.shape[0])
-    gv = g_full @ vals
-    nt = square2.triangles.shape[0]
-    for k, tri in enumerate(square2.triangles):
-        gx, gy = plane_gradient(square2.vertices[tri], vals[tri])
+def test_gradient_matches_plane_fit(square3, rng):
+    u = rng.standard_normal(square3.num_interior)
+    gv = build_discrete_gradient(square3) @ u
+    vals = oracles.full_values(square3, u)
+    nt = square3.triangles.shape[0]
+    for k, tri in enumerate(square3.triangles):
+        gx, gy = plane_gradient(square3.vertices[tri], vals[tri])
         assert gv[k] == pytest.approx(gx, abs=1e-12)
         assert gv[k + nt] == pytest.approx(gy, abs=1e-12)
 
@@ -65,9 +67,7 @@ def test_gradient_magnitudes_is_hypot(square2, rng):
 def test_local_stiffness_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = make_mesh(verts, np.array([[0, 1, 2]]))
-    a = assemble_weighted_stiffness(
-        m, np.ones(1), gradient=build_discrete_gradient(m, restrict=False)
-    )
+    a = assemble_weighted_stiffness(m, np.ones(1), gradient=oracles.full_gradient(m))
     assert np.allclose(a.toarray(), LOCAL_STIFFNESS, atol=1e-14)
 
 
@@ -120,19 +120,21 @@ def test_stiffness_rejects_bad_weights(square3):
 
 
 def test_load_vector_lumped_quadrature(square4):
-    load_full = assemble_load_vector(square4, 1.0, restrict=False)
+    load_full = oracles.full_load(square4, 1.0)
     assert load_full.sum() == pytest.approx(1.0, rel=1e-13)  # integrates 1 over the square
     load = assemble_load_vector(square4, 1.0)
-    assert load.size == square4.num_interior
+    assert np.allclose(load, load_full[square4.interior_indices], rtol=1e-13)
     # interior vertices touch 6 triangles, so lumping gives the cell area 1/n^2
     assert np.allclose(load, 1.0 / 16.0, rtol=1e-13)
 
 
 def test_load_vector_callable(square4):
     f = lambda x, y: x
-    load = assemble_load_vector(square4, f, restrict=False)
+    load_full = oracles.full_load(square4, f)
     # integral of x over the unit square
-    assert load.sum() == pytest.approx(0.5, rel=1e-12)
+    assert load_full.sum() == pytest.approx(0.5, rel=1e-12)
+    load = assemble_load_vector(square4, f)
+    assert np.allclose(load, load_full[square4.interior_indices], rtol=1e-13)
 
 
 def test_expand_dirichlet_roundtrip(square4, rng):
@@ -164,7 +166,7 @@ def _two_triangles(nv):
     *[pytest.param(("square", n), id=f"square{n}") for n in (1, 2, 3, 8)],
     pytest.param(("triangle", 0), id="triangle"),
     # n = 50,000 columns, so the entry keys i * n + j need int64; the
-    # restricted gradient's columns are the untouched vertices: it has no entry
+    # interior-only gradient's columns are the untouched vertices: it has no entry
     pytest.param(("wide", 50_000), id="wide-keys"),
 ])
 def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
@@ -176,7 +178,7 @@ def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
     spread[rng.random(nt) < 0.3] = 0.0
     spread[0] = 0.0
     weights = [np.ones(nt), spread, rng.uniform(0.5, 2.0, nt), np.zeros(nt)]
-    gradients = [build_discrete_gradient(m, restrict=False)]
+    gradients = [oracles.full_gradient(m)]
     if m.num_interior:
         gradients.append(build_discrete_gradient(m))
     for g in gradients:
@@ -222,7 +224,7 @@ def test_pattern_apply_bits_equal_the_assembled_product(request, rng, mesh):
     nt = m.num_triangles
     spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
     spread[rng.random(nt) < 0.3] = 0.0
-    for g in (build_discrete_gradient(m), build_discrete_gradient(m, restrict=False)):
+    for g in (build_discrete_gradient(m), oracles.full_gradient(m)):
         plan = assembly._stiffness_pattern(g)
         u = rng.standard_normal(g.shape[1])
         u[rng.random(u.size) < 0.2] = 0.0
@@ -243,8 +245,7 @@ def test_plan_rejects_another_gradient_and_a_wrong_d(square3, square4):
     pruned = g.copy()
     pruned.data[0] = 0.0
     pruned.eliminate_zeros()        # same shape, one slot fewer
-    others = (build_discrete_gradient(square3), build_discrete_gradient(square4, restrict=False),
-              pruned)
+    others = (build_discrete_gradient(square3), oracles.full_gradient(square4), pruned)
     for other in others:
         with pytest.raises(AssemblyError):
             plan.values(other, d)

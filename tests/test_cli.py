@@ -92,7 +92,6 @@ def test_presets_cover_the_experiments():
 
 
 def test_manifest_defaults_are_the_library_defaults():
-    # the manifest keeps its own copies, so that a summary can record them
     manifest = RunManifest()
     solver = SolverConfig(p=2.0, g=0.2, gamma=1e3)
     ladder = inspect.signature(continuation_solve).parameters
@@ -421,7 +420,11 @@ def test_sweep_empty_value_list_is_config_error(tmp_path, capsys, monkeypatch, f
     ("disk", "--n-list", "4,6", "--n-list does not apply to the disk domain"),
     ("square", "--g-list", "0.1,0.2,0.10", "--g-list repeats 0.1"),
     ("square", "--n-list", "4,6,4", "--n-list repeats 4"),
-], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n"])
+    # every point would run the same gamma ladder
+    ("square --continuation", "--gamma-list", "1e2,1e3",
+     "--gamma-list does not apply to a continuation run"),
+], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n",
+        "gamma-list-on-continuation"])
 def test_sweep_list_that_names_a_run_twice_is_config_error(tmp_path, capsys, monkeypatch,
                                                           domain, flag, value, message):
     def single(*args, **kwargs):
@@ -429,7 +432,7 @@ def test_sweep_list_that_names_a_run_twice_is_config_error(tmp_path, capsys, mon
 
     monkeypatch.setattr(hbflow.cli, "run_single", single)
     out = tmp_path / "sweep"
-    argv = ["sweep", "--domain", domain, "--n", "4", "--level", "1", flag, value,
+    argv = ["sweep", "--domain", *domain.split(), "--n", "4", "--level", "1", flag, value,
             "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"

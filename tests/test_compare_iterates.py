@@ -1,3 +1,4 @@
+import re
 import shutil
 import subprocess
 import sys
@@ -34,3 +35,7 @@ def test_compare_iterates_flags_a_changed_sigma1_default(tmp_path):
     assert lines and all(line.startswith("continuation-p100 ") for line in lines)
     assert any(" history row " in line for line in lines)
     assert any(line.startswith("continuation-p100 stage 6 u: ") for line in lines)
+    # the last line gives the drift of the two values the benchmark checks
+    drift = re.fullmatch(r"continuation-p100 drift: final J (\S+), \|\|u\|\| (\S+) relative",
+                         lines[-1])
+    assert drift and all(float(x) > 1e-12 for x in drift.groups()), lines[-1]

@@ -9,7 +9,7 @@ import hbflow.solver
 from hbflow.assembly import build_discrete_gradient, expand_dirichlet, gradient_magnitudes
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from hbflow.linesearch import LineSearchResult
-from hbflow.mesh import build_unit_square_mesh, make_mesh
+from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
 from hbflow.solver import (
     LinearConfig,
     SolverConfig,
@@ -51,6 +51,26 @@ def test_poisson_init_disk_peak(disk3):
     full = expand_dirichlet(disk3, u0)
     assert np.max(full) == pytest.approx(0.25, abs=5e-3)
     assert np.all(full[disk3.boundary_vertex] == 0.0)
+
+
+def test_disk_solves_approach_the_exact_radial_solution():
+    # c1's flow (p = 1.75, g = 0.2, f = 1) at gamma = 1e3, default PCG
+    _, u_exact, j_exact = oracles.radial_solution(1.75, 0.2, 1.0, 1e3)
+    assert j_exact == pytest.approx(-0.0252171, abs=5e-8)
+    h, j_error, nodal_error = [], [], []
+    for level in (3, 4, 5):
+        mesh = build_unit_disk_mesh(level)
+        out = solve(mesh, SolverConfig(p=1.75, g=0.2, gamma=1e3, max_iters=1000), 1.0)
+        assert out.converged, level
+        interior = mesh.vertices[mesh.interior_indices]
+        h.append(mesh.h)
+        # the P1 space on the inscribed polygon is a subspace: J_h >= J
+        j_error.append(out.final_objective - j_exact)
+        nodal_error.append(np.max(np.abs(out.u - u_exact(np.hypot(*interior.T)))))
+    assert min(j_error) > 0.0
+    order = np.polyfit(np.log(h), np.log(j_error), 1)[0]
+    assert order >= 1.8, (order, j_error)
+    assert nodal_error[0] > nodal_error[1] > nodal_error[2], nodal_error
 
 
 def test_descent_direction_continuous_across_p2(square4, rng):
@@ -155,9 +175,7 @@ def test_continuation_single_stage_matches_plain_solve(square16):
 
 def test_continuation_ladder_warm_starts(square16):
     cfg = SolverConfig(p=1.5, g=0.2, gamma=1000.0, max_iters=60)
-    stages = continuation_solve(
-        square16, cfg, 1.0, gamma_start=10.0, factor=10.0, gamma_end=1000.0
-    )
+    stages = continuation_solve(square16, cfg, 1.0, gamma_start=10.0, gamma_end=1000.0)
     assert [gamma for gamma, _ in stages] == [10.0, 100.0, 1000.0]
     assert stages[0][1].converged
     # stage 2 starts from stage 1's iterate, re-scored at the new gamma
@@ -183,11 +201,9 @@ def test_continuation_validates_ladder(square4):
     with pytest.raises(ValueError):
         continuation_solve(square4, cfg, 1.0, gamma_start=0.0)
     with pytest.raises(ValueError):
-        continuation_solve(square4, cfg, 1.0, factor=1.0)
-    with pytest.raises(ValueError):
         continuation_solve(square4, cfg, 1.0, gamma_start=100.0, gamma_end=10.0)
     # rejected before the first stage, not after gamma overflows
-    for name in ("gamma_start", "factor", "gamma_end"):
+    for name in ("gamma_start", "gamma_end"):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="need finite"):
                 continuation_solve(square4, cfg, 1.0, **{name: bad})
@@ -349,7 +365,7 @@ def test_failed_search_leaves_the_dual_of_the_returned_iterate(square16, monkeyp
 def test_wp_seminorm_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     mesh = make_mesh(verts, np.array([[0, 1, 2]]))
-    gradient = build_discrete_gradient(mesh, restrict=False)
+    gradient = oracles.full_gradient(mesh)
     u = np.array([0.0, 1.0, 0.0])  # grad = (1, 0), xi = 1 on area 1/2
     assert wp_seminorm(mesh, gradient, u, 2.0) == pytest.approx(np.sqrt(0.5), rel=1e-14)
     assert wp_seminorm(mesh, gradient, u, 3.0) == pytest.approx(0.5 ** (1 / 3), rel=1e-14)
