@@ -261,6 +261,7 @@ def continuation_solve(
     mesh: Mesh,
     config: SolverConfig,
     f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    *,
     gamma_start: float = GAMMA_START,
     gamma_end: float = GAMMA_END,
 ) -> list[tuple[float, SolveOutcome]]:

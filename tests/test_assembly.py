@@ -33,10 +33,11 @@ def test_gradient_shape_and_affine_exactness(square3):
     assert g_full.shape == (2 * nt, square3.vertices.shape[0])
     vals = 2.0 * square3.vertices[:, 0] - 0.5 * square3.vertices[:, 1]
     gv = g_full @ vals
-    assert np.allclose(gv[:nt], 2.0, atol=1e-13)
-    assert np.allclose(gv[nt:], -0.5, atol=1e-13)
+    np.testing.assert_allclose(gv[:nt], 2.0, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(gv[nt:], -0.5, rtol=0.0, atol=1e-13)
     g = build_discrete_gradient(square3)
-    assert np.allclose(g.toarray(), g_full[:, square3.interior_indices].toarray(), atol=1e-13)
+    np.testing.assert_allclose(g.toarray(), g_full[:, square3.interior_indices].toarray(),
+                               rtol=0.0, atol=1e-13)
 
 
 def test_restricted_gradient_columns(square3):
@@ -123,9 +124,9 @@ def test_load_vector_lumped_quadrature(square4):
     load_full = oracles.full_load(square4, 1.0)
     assert load_full.sum() == pytest.approx(1.0, rel=1e-13)  # integrates 1 over the square
     load = assemble_load_vector(square4, 1.0)
-    assert np.allclose(load, load_full[square4.interior_indices], rtol=1e-13)
+    np.testing.assert_allclose(load, load_full[square4.interior_indices], rtol=1e-13)
     # interior vertices touch 6 triangles, so lumping gives the cell area 1/n^2
-    assert np.allclose(load, 1.0 / 16.0, rtol=1e-13)
+    np.testing.assert_allclose(load, 1.0 / 16.0, rtol=1e-13)
 
 
 def test_load_vector_callable(square4):
@@ -134,7 +135,7 @@ def test_load_vector_callable(square4):
     # integral of x over the unit square
     assert load_full.sum() == pytest.approx(0.5, rel=1e-12)
     load = assemble_load_vector(square4, f)
-    assert np.allclose(load, load_full[square4.interior_indices], rtol=1e-13)
+    np.testing.assert_allclose(load, load_full[square4.interior_indices], rtol=1e-13)
 
 
 def test_expand_dirichlet_roundtrip(square4, rng):

@@ -209,6 +209,14 @@ def test_continuation_validates_ladder(square4):
                 continuation_solve(square4, cfg, 1.0, **{name: bad})
 
 
+def test_continuation_ladder_ends_are_keyword_only(square4):
+    # a positional call written for the old (gamma_start, factor, gamma_end)
+    # order must fail rather than read factor as gamma_end
+    cfg = SolverConfig(p=1.5, g=0.2, gamma=10.0)
+    with pytest.raises(TypeError):
+        continuation_solve(square4, cfg, 1.0, 10.0, 100.0)
+
+
 @pytest.fixture
 def splu_calls(monkeypatch):
     """Counts the sparse LU factorizations the solver performs."""
