@@ -31,7 +31,6 @@ from .linalg import LinearSolveError
 from .linesearch import LineSearchConfig, LineSearchError
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
 from .solver import (
-    GAMMA_END,
     GAMMA_FACTOR,
     GAMMA_START,
     SolveOutcome,
@@ -59,8 +58,6 @@ class RunManifest:
     max_iters: int = SolverConfig.max_iters
     sigma1: float = LineSearchConfig.sigma1
     continuation: bool = False
-    gamma_start: float = GAMMA_START
-    gamma_end: float = GAMMA_END
     out: str = "out"
     preset: str | None = None
 
@@ -74,7 +71,7 @@ PRESETS: dict[str, dict] = {
     # mesh-independence sweep template (pair with --g-list / --n-list)
     "exp2-mesh-study": dict(domain="square", p=1.5, gamma=1e3, f=3.0, n=101),
     # strongly shear-thickening flow, needs gamma continuation
-    "exp3-continuation": dict(domain="square", n=50, p=100.0, g=0.3, f=3.0,
+    "exp3-continuation": dict(domain="square", n=50, p=100.0, g=0.3, gamma=1e6, f=3.0,
                               continuation=True),
 }
 
@@ -210,7 +207,7 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
         "level": manifest.level,
         "p": manifest.p,
         "g": manifest.g,
-        "gamma": manifest.gamma,
+        "gamma": stages[-1][0],
         "epsilon": manifest.epsilon,
         "f": manifest.f,
         "tol": manifest.tol,
@@ -249,13 +246,12 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     config = solver_config(manifest)
     t0 = time.perf_counter()
     error = None
-    # a single run is the one-stage ladder at gamma; a LinearSolveError
-    # propagates: without a completed stage there is nothing worth writing
-    if manifest.continuation:
-        start, end = manifest.gamma_start, manifest.gamma_end
-    else:
-        start = end = manifest.gamma
-    stages = continuation_solve(mesh, config, manifest.f, gamma_start=start, gamma_end=end)
+    # every run is a ladder that ends at gamma, one stage long without
+    # continuation; a LinearSolveError propagates: without a completed stage
+    # there is nothing worth writing
+    start = min(GAMMA_START, manifest.gamma) if manifest.continuation else manifest.gamma
+    stages = continuation_solve(mesh, config, manifest.f, gamma_start=start,
+                                gamma_end=manifest.gamma)
     wall = time.perf_counter() - t0
 
     bad = [outcome for _, outcome in stages if not outcome.converged]
@@ -301,9 +297,6 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
             continue
         if name == unread:
             raise ConfigError(f"--{name}-list does not apply to the {manifest.domain} domain")
-        if name == "gamma" and manifest.continuation:
-            # every point would run the same ladder under a different label
-            raise ConfigError("--gamma-list does not apply to a continuation run")
         axes.append((name, _parse_list(name, raw, cast)))
     base_out = _make_outdir(manifest.out)
 
@@ -352,7 +345,7 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-iters", dest="max_iters", type=int)
     sub.add_argument("--sigma1", type=float, help="Armijo slope fraction")
     sub.add_argument("--continuation", action="store_const", const=True, default=None,
-                     help=f"solve over the gamma ladder {GAMMA_START:.0e}..{GAMMA_END:.0e}, "
+                     help=f"solve over the gamma ladder {GAMMA_START:g}..--gamma, "
                           f"x{GAMMA_FACTOR:g} per stage, with warm starts")
     sub.add_argument("--out", help="output directory")
     sub.add_argument("--preset", help="named parameter bundle: " + ", ".join(sorted(PRESETS)))

@@ -268,15 +268,15 @@ def continuation_solve(
     """Warm-started solves over a geometric gamma ladder.
 
     Stage one starts from the Poisson iterate at ``gamma_start``; each later
-    stage multiplies gamma by ``GAMMA_FACTOR`` and starts from the previous
-    stage's solution. Stops after the stage with gamma >= ``gamma_end`` (the
-    ladder includes gamma_end when it is hit exactly). A stage that merely
-    exhausts max_iters still seeds the next stage with its best iterate; only
-    a stage that died outright (line-search failure) aborts the ladder,
-    returning the partial history. The gradient, load, Laplacian and its
-    factor do not depend on gamma and are built once for the whole ladder.
-    Only the last stage keeps its dual field; a stage that seeds the next
-    has ``dual=None``.
+    stage multiplies gamma by ``GAMMA_FACTOR``, clamped to ``gamma_end``, and
+    starts from the previous stage's solution. The ladder stops after the
+    stage within 1e-12 of ``gamma_end``, so no stage passes it. A stage that
+    merely exhausts max_iters still seeds the next stage with its best
+    iterate; only a stage that died outright (line-search failure) aborts the
+    ladder, returning the partial history. The gradient, load, Laplacian and
+    its factor do not depend on gamma and are built once for the whole
+    ladder. Only the last stage keeps its dual field; a stage that seeds the
+    next has ``dual=None``.
     """
     if not (np.isfinite([gamma_start, gamma_end]).all() and 0.0 < gamma_start <= gamma_end):
         raise ValueError(f"need finite gamma_start > 0 and gamma_end >= gamma_start, "
@@ -295,7 +295,7 @@ def continuation_solve(
             break
         outcome.dual = None
         u = outcome.u
-        gamma *= GAMMA_FACTOR
+        gamma = min(gamma * GAMMA_FACTOR, gamma_end)
     return stages
 
 

@@ -1,7 +1,7 @@
 import contextlib
-import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hbflow.cli
-import hbflow.solver
 from hbflow.cli import (
     PRESETS,
     ConfigError,
@@ -27,7 +26,7 @@ from hbflow.cli import (
 from hbflow.export import CSV_HEADER
 from hbflow.linalg import LinearSolveError
 from hbflow.linesearch import LineSearchConfig, LineSearchError
-from hbflow.solver import SolverConfig, continuation_solve
+from hbflow.solver import SolverConfig
 
 
 def write(path, text):
@@ -58,6 +57,8 @@ g=0.25
     "just a line",         # no key=value shape
     "continuation = maybe",
     "preset = exp1-thickening",  # would label the run with a preset it did not apply
+    "gamma_start = 10",    # a continuation ladder runs from GAMMA_START to gamma
+    "gamma_end = 1e6",
 ])
 def test_parse_config_file_rejects(tmp_path, line):
     cfg = write(tmp_path / "bad.cfg", line + "\n")
@@ -94,12 +95,9 @@ def test_presets_cover_the_experiments():
 def test_manifest_defaults_are_the_library_defaults():
     manifest = RunManifest()
     solver = SolverConfig(p=2.0, g=0.2, gamma=1e3)
-    ladder = inspect.signature(continuation_solve).parameters
     assert (manifest.epsilon, manifest.tol, manifest.max_iters) == (
         solver.epsilon, solver.tol, solver.max_iters)
     assert manifest.sigma1 == LineSearchConfig().sigma1
-    assert (manifest.gamma_start, manifest.gamma_end) == (
-        ladder["gamma_start"].default, ladder["gamma_end"].default)
 
 
 def test_unknown_preset_is_config_error(capsys):
@@ -155,23 +153,6 @@ def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()     # a rejected run leaves no output directory
 
 
-@pytest.mark.parametrize("line", ["gamma_end = nan", "gamma_end = inf", "gamma_start = nan"])
-def test_nonfinite_ladder_is_config_error(tmp_path, capsys, monkeypatch, line):
-    def stage(*args, **kwargs):
-        raise AssertionError("a stage ran")
-
-    monkeypatch.setattr(hbflow.solver, "solve", stage)
-    cfg = write(tmp_path / "ladder.cfg", f"continuation = true\n{line}\n")
-    out = tmp_path / "out"
-    argv = ["run", "--config", cfg, "--domain", "square", "--n", "6", "--max-iters", "1",
-            "--out", str(out)]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: need finite gamma_start > 0")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert not out.exists()
-
-
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -208,10 +189,6 @@ FLOAT_FLAGS = {
     "f": (-5.0, 5.0), "tol": (1e-8, 1e-2), "sigma1": (1e-6, 0.24),
 }
 EXTREMES = ["nan", "inf", "-inf", "0", "-1", "1e300", "-1e300", "1e-300"]
-# the gamma ladder's ends, which only a --config file sets; large finite
-# extremes are left out because they make ladders hundreds of stages long
-LADDER_KEYS = {"gamma_start": (1.0, 1e3), "gamma_end": (1.0, 1e6)}
-LADDER_EXTREMES = ["nan", "inf", "-inf", "0", "-1"]
 
 
 @settings(max_examples=100, deadline=None)
@@ -227,28 +204,31 @@ LADDER_EXTREMES = ["nan", "inf", "-inf", "0", "-1"]
     }),
     extreme=st.dictionaries(st.sampled_from(sorted(FLOAT_FLAGS)), st.sampled_from(EXTREMES),
                             max_size=2),
-    ladder=st.fixed_dictionaries({
-        name: st.one_of(st.floats(min_value=low, max_value=high).map(repr),
-                        st.sampled_from(LADDER_EXTREMES))
-        for name, (low, high) in LADDER_KEYS.items()
-    }),
 )
 def test_every_run_manifest_exits_with_a_documented_code(
-    domain, n, level, max_iters, continuation, valid, extreme, ladder
+    domain, n, level, max_iters, continuation, valid, extreme
 ):
+    flags = {**valid, **extreme}
     # flags go as --flag=value, or argparse would read "-1" as an option
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = write(Path(tmp) / "ladder.cfg",
-                    "".join(f"{name} = {value}\n" for name, value in ladder.items()))
-        argv = ["run", f"--config={cfg}", f"--domain={domain}", f"--n={n}",
-                f"--level={level}", f"--max-iters={max_iters}", f"--out={tmp}/out",
-                *(f"--{name}={value}" for name, value in {**valid, **extreme}.items())]
+        argv = ["run", f"--domain={domain}", f"--n={n}", f"--level={level}",
+                f"--max-iters={max_iters}", f"--out={tmp}/out",
+                *(f"--{name}={value}" for name, value in flags.items())]
         if continuation:
             argv.append("--continuation")
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
+        written = Path(tmp) / "out" / "summary.json"
+        summary = json.loads(written.read_text()) if written.exists() else None
     assert code in (0, 1, 2, 3)
+    if summary is not None:
+        # the gamma a run reports is the one its last stage solved at; unless
+        # a line-search failure cut that stage (and the ladder) short, it is --gamma
+        last = summary["stages"][-1]
+        assert summary["gamma"] == last["gamma"]
+        if last["converged"] or last["iterations"] == max_iters:
+            assert math.isclose(last["gamma"], float(flags["gamma"]), rel_tol=1e-12)
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
 
@@ -316,8 +296,7 @@ n = 6
 p = 1.5
 g = 0.2
 continuation = true
-gamma-start = 10
-gamma-end = 1000
+gamma = 1000
 max-iters = 400
 """)
     out = tmp_path / "out"
@@ -348,6 +327,17 @@ def test_sweep_aggregates(tmp_path, capsys):
         assert (out / "runs" / tag / "summary.json").exists()
         run_summary = json.loads((out / "runs" / tag / "summary.json").read_text())
         assert run_summary["converged"] is True
+
+
+def test_sweep_gamma_list_ends_each_ladder_at_its_gamma(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--domain", "square", "--n", "6", "--p", "1.5", "--max-iters", "400",
+            "--continuation", "--gamma-list", "1e2,1e3", "--out", str(out)]
+    assert main(argv) == 0
+    for tag, ladder in (("gamma100", [10.0, 100.0]), ("gamma1000", [10.0, 100.0, 1000.0])):
+        summary = json.loads((out / "runs" / tag / "summary.json").read_text())
+        assert [stage["gamma"] for stage in summary["stages"]] == ladder
+        assert summary["gamma"] == ladder[-1]
 
 
 @pytest.mark.parametrize("n_list, max_iters, code", [
@@ -420,11 +410,7 @@ def test_sweep_empty_value_list_is_config_error(tmp_path, capsys, monkeypatch, f
     ("disk", "--n-list", "4,6", "--n-list does not apply to the disk domain"),
     ("square", "--g-list", "0.1,0.2,0.10", "--g-list repeats 0.1"),
     ("square", "--n-list", "4,6,4", "--n-list repeats 4"),
-    # every point would run the same gamma ladder
-    ("square --continuation", "--gamma-list", "1e2,1e3",
-     "--gamma-list does not apply to a continuation run"),
-], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n",
-        "gamma-list-on-continuation"])
+], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n"])
 def test_sweep_list_that_names_a_run_twice_is_config_error(tmp_path, capsys, monkeypatch,
                                                           domain, flag, value, message):
     def single(*args, **kwargs):
@@ -432,7 +418,7 @@ def test_sweep_list_that_names_a_run_twice_is_config_error(tmp_path, capsys, mon
 
     monkeypatch.setattr(hbflow.cli, "run_single", single)
     out = tmp_path / "sweep"
-    argv = ["sweep", "--domain", *domain.split(), "--n", "4", "--level", "1", flag, value,
+    argv = ["sweep", "--domain", domain, "--n", "4", "--level", "1", flag, value,
             "--out", str(out)]
     assert main(argv) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"

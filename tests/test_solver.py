@@ -53,15 +53,24 @@ def test_poisson_init_disk_peak(disk3):
     assert np.all(full[disk3.boundary_vertex] == 0.0)
 
 
-def test_disk_solves_approach_the_exact_radial_solution():
-    # c1's flow (p = 1.75, g = 0.2, f = 1) at gamma = 1e3, default PCG
-    _, u_exact, j_exact = oracles.radial_solution(1.75, 0.2, 1.0, 1e3)
-    assert j_exact == pytest.approx(-0.0252171, abs=5e-8)
-    h, j_error, nodal_error = [], [], []
+@pytest.fixture(scope="module")
+def disk_solves():
+    """c1's flow (p = 1.75, g = 0.2, f = 1) at gamma = 1e3, solved to the
+    tolerance with default PCG on disk levels 3, 4 and 5."""
+    solves = []
     for level in (3, 4, 5):
         mesh = build_unit_disk_mesh(level)
         out = solve(mesh, SolverConfig(p=1.75, g=0.2, gamma=1e3, max_iters=1000), 1.0)
         assert out.converged, level
+        solves.append((mesh, out))
+    return solves
+
+
+def test_disk_solves_approach_the_exact_radial_solution(disk_solves):
+    _, u_exact, j_exact = oracles.radial_solution(1.75, 0.2, 1.0, 1e3)
+    assert j_exact == pytest.approx(-0.0252171, abs=5e-8)
+    h, j_error, nodal_error = [], [], []
+    for mesh, out in disk_solves:
         interior = mesh.vertices[mesh.interior_indices]
         h.append(mesh.h)
         # the P1 space on the inscribed polygon is a subspace: J_h >= J
@@ -71,6 +80,27 @@ def test_disk_solves_approach_the_exact_radial_solution():
     order = np.polyfit(np.log(h), np.log(j_error), 1)[0]
     assert order >= 1.8, (order, j_error)
     assert nodal_error[0] > nodal_error[1] > nodal_error[2], nodal_error
+
+
+def test_disk_plug_matches_the_exact_radius(disk_solves):
+    # the exact solution yields where gamma*xi = g, that is where the stress
+    # f r / 2 reaches (g/gamma)^(p-1) + g; gamma = inf gives the plug 2g/f = 0.4
+    p, g, f, gamma = 1.75, 0.2, 1.0, 1e3
+    r_gamma = 2.0 * ((g / gamma) ** (p - 1.0) + g) / f
+    assert r_gamma == pytest.approx(0.40336, abs=5e-6)
+    xi_exact = oracles.radial_solution(p, g, f, gamma)[0]
+    assert xi_exact(r_gamma) == pytest.approx(g / gamma, rel=1e-9)
+    band = []
+    for mesh, out in disk_solves:
+        corners = mesh.vertices[mesh.triangles]
+        r = np.hypot(*corners.mean(axis=1).T)
+        longest = np.max(np.linalg.norm(corners - np.roll(corners, 1, axis=1), axis=2))
+        distance = np.abs(r - r_gamma)
+        wrong = out.dual.active != (r > r_gamma)
+        # a flag may differ from the exact one only within one longest edge of r_gamma
+        assert not np.any(wrong & (distance > longest)), (mesh.num_triangles, longest)
+        band.append(distance[wrong].max(initial=0.0))
+    assert band[2] < band[1], band
 
 
 def test_descent_direction_continuous_across_p2(square4, rng):
@@ -194,6 +224,14 @@ def test_continuation_keeps_only_the_last_dual(square16):
                       dataclasses.replace(cfg, gamma=gamma).huber_params())
     for name in ("w", "active", "xi"):
         assert np.array_equal(getattr(last.dual, name), getattr(dual, name)), name
+
+
+def test_continuation_ladder_ends_at_gamma_end():
+    # 5e4 is no product of the ladder: the stage after 1e4 runs at 5e4, not 1e5
+    cfg = SolverConfig(p=3.0, g=0.2, gamma=5e4, max_iters=3)
+    stages = continuation_solve(build_unit_square_mesh(6), cfg, 1.0,
+                                gamma_start=10.0, gamma_end=5e4)
+    assert [gamma for gamma, _ in stages] == [10.0, 100.0, 1e3, 1e4, 5e4]
 
 
 def test_continuation_validates_ladder(square4):
