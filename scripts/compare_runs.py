@@ -6,8 +6,10 @@ Both trees must hold the same files, and each file must match byte for
 byte. The exception is ``summary.json``, which is compared field by field
 as JSON without ``wall_time_seconds``, the one field a rerun changes; a
 differing field is printed with both values, and a numeric one also with
-their relative difference. Prints one line per difference; exits 0 when
-there is none, 1 otherwise, and 2 when A or B is not a directory.
+their relative difference. Summaries whose fields are equal but in
+another order differ too, since a rerun writes them in the same order.
+Prints one line per difference; exits 0 when there is none, 1 otherwise,
+and 2 when A or B is not a directory.
 """
 
 from __future__ import annotations
@@ -65,8 +67,11 @@ def _differences(a: Path, b: Path) -> list[str]:
         # repr tells -0.0 from 0.0 and, unlike ==, finds NaN equal to NaN
         fields = (k for k in la.keys() | lb.keys()
                   if repr(la.get(k, _ABSENT)) != repr(lb.get(k, _ABSENT)))
-        return [f"{k} {_field_difference(la.get(k, _ABSENT), lb.get(k, _ABSENT))}"
-                for k in sorted(fields)]
+        lines = [f"{k} {_field_difference(la.get(k, _ABSENT), lb.get(k, _ABSENT))}"
+                 for k in sorted(fields)]
+        if not lines and list(la) != list(lb):
+            lines.append("field order differs")
+        return lines
     da, db = a.read_bytes(), b.read_bytes()
     if da == db:
         return []

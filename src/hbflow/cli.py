@@ -75,6 +75,8 @@ PRESETS: dict[str, dict] = {
                               continuation=True),
 }
 
+# each domain's resolution field and mesh builder
+_DOMAINS = {"square": ("n", build_unit_square_mesh), "disk": ("level", build_unit_disk_mesh)}
 _FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunManifest))
 _BOOL_TRUE = {"1", "true", "yes", "on"}
 _BOOL_FALSE = {"0", "false", "no", "off"}
@@ -143,20 +145,18 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     if not manifest.out.strip():
         # an empty path would write every output into the current directory
         raise ConfigError(f"output directory must not be empty, got {manifest.out!r}")
-    if manifest.domain not in ("square", "disk"):
-        raise ConfigError(f"unknown domain {manifest.domain!r} (square or disk)")
+    if manifest.domain not in _DOMAINS:
+        raise ConfigError(f"unknown domain {manifest.domain!r} ({' or '.join(_DOMAINS)})")
     return manifest
 
 
 def build_mesh(manifest: RunManifest) -> Mesh:
     """The manifest's mesh; ``build_manifest`` has checked its domain."""
-    if manifest.domain == "square":
-        if manifest.n is None:
-            raise ConfigError("square domain needs --n")
-        return build_unit_square_mesh(manifest.n)
-    if manifest.level is None:
-        raise ConfigError("disk domain needs --level")
-    return build_unit_disk_mesh(manifest.level)
+    field, build = _DOMAINS[manifest.domain]
+    resolution = getattr(manifest, field)
+    if resolution is None:
+        raise ConfigError(f"{manifest.domain} domain needs --{field}")
+    return build(resolution)
 
 
 def solver_config(manifest: RunManifest) -> SolverConfig:
@@ -178,6 +178,12 @@ def _stage_summary(gamma: float, outcome: SolveOutcome) -> dict:
     }
 
 
+def _gamma_label(gamma: float) -> str:
+    """The shortest ``.{k}e`` form of gamma that reads back as gamma, e.g. 1e+01 or 1.05e+03."""
+    return next(label for label in (f"{gamma:.{k}e}" for k in range(17))
+                if float(label) == gamma)
+
+
 def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
                    stages: list, wall_time: float, error: str | None) -> dict:
     final = stages[-1][1]
@@ -186,7 +192,7 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
     else:
         for idx, (gamma, outcome) in enumerate(stages, start=1):
             write_history_csv(
-                outdir / f"history_stage{idx:02d}_gamma_{gamma:.0e}.csv",
+                outdir / f"history_stage{idx:02d}_gamma_{_gamma_label(gamma)}.csv",
                 outcome.history,
             )
     write_vtk(
@@ -199,26 +205,17 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
             "multiplier_norm": np.linalg.norm(final.dual.w, axis=1),
         },
     )
-    converged = all(outcome.converged for _, outcome in stages)
+    settings = dataclasses.asdict(manifest)
+    del settings["out"]
     summary = {
-        "preset": manifest.preset,
-        "domain": manifest.domain,
-        "n": manifest.n,
-        "level": manifest.level,
-        "p": manifest.p,
-        "g": manifest.g,
-        "gamma": stages[-1][0],
-        "epsilon": manifest.epsilon,
-        "f": manifest.f,
-        "tol": manifest.tol,
-        "max_iters": manifest.max_iters,
-        "sigma1": manifest.sigma1,
-        "continuation": manifest.continuation,
+        "preset": settings.pop("preset"),
+        **settings,
+        "gamma": stages[-1][0],     # keeps the manifest's place, holds the gamma solved last
         "h": mesh.h,
         "num_vertices": mesh.num_vertices,
         "num_triangles": mesh.num_triangles,
         "num_interior": mesh.num_interior,
-        "converged": converged,
+        "converged": error is None,
         "iterations": sum(outcome.iterations for _, outcome in stages),
         "final_objective": final.final_objective,
         "final_rel_residual": final.final_rel_residual,
@@ -230,6 +227,20 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
     }
     (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     return summary
+
+
+# exit code and stderr prefix of each failure a run can raise; the first matching class wins
+_FAILURES = {
+    ValueError: (2, "configuration error"),     # ConfigError, MeshError, AssemblyError, ...
+    MemoryError: (2, "configuration error: out of memory"),    # a problem too large to fit
+    OSError: (3, "i/o error"),
+    LinearSolveError: (1, "solver failure"),
+    LineSearchError: (1, "solver failure"),
+}
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    return next(entry for kind, entry in _FAILURES.items() if isinstance(exc, kind))
 
 
 def _make_outdir(out: str) -> Path:
@@ -245,7 +256,6 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
     mesh = build_mesh(manifest)
     config = solver_config(manifest)
     t0 = time.perf_counter()
-    error = None
     # every run is a ladder that ends at gamma, one stage long without
     # continuation; a LinearSolveError propagates: without a completed stage
     # there is nothing worth writing
@@ -254,13 +264,14 @@ def run_single(manifest: RunManifest) -> tuple[int, dict]:
                                 gamma_end=manifest.gamma)
     wall = time.perf_counter() - t0
 
-    bad = [outcome for _, outcome in stages if not outcome.converged]
-    if bad:
-        error = bad[0].failure_reason or "iteration limit reached before tolerance"
+    converged = all(outcome.converged for _, outcome in stages)
+    # a failure ends the ladder, so only the last stage can have failed outright
+    error = None if converged else (
+        stages[-1][1].failure_reason or "iteration limit reached before tolerance")
     # created only now, so a run the solver rejects leaves no directory behind
     outdir = _make_outdir(manifest.out)
     summary = _write_outputs(outdir, manifest, mesh, stages, wall, error)
-    return (0 if not bad else 1), summary
+    return (0 if converged else 1), summary
 
 
 def _label(value) -> str:
@@ -268,8 +279,8 @@ def _label(value) -> str:
     return f"{value:g}" if isinstance(value, float) else str(value)
 
 
-def _parse_list(name: str, raw: str, cast) -> list:
-    values = [cast(tok) for tok in raw.split(",") if tok.strip()]
+def _parse_list(name: str, raw: str) -> list:
+    values = [_coerce(name, tok) for tok in raw.split(",") if tok.strip()]
     if not values:
         raise ConfigError(f"--{name}-list has no values")
     labels = [_label(v) for v in values]
@@ -284,20 +295,19 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     """Cartesian product of the requested value lists; one directory per point.
 
     Returns the largest exit code among the points, each point's being the
-    one ``hbflow run`` would return for it: 0, 1, or 2 for a configuration
-    error. ``aggregate.csv`` is written whatever the points return.
+    one ``hbflow run`` would return for it. ``aggregate.csv`` is written
+    whatever the points return, with a ``failed:`` row for each point that
+    raised.
     """
-    lists = (("g", args.g_list, float), ("p", args.p_list, float),
-             ("gamma", args.gamma_list, float), ("n", args.n_list, int),
-             ("level", args.level_list, int))
-    unread = {"square": "level", "disk": "n"}.get(manifest.domain)
+    unread = {field for field, _ in _DOMAINS.values()} - {_DOMAINS[manifest.domain][0]}
     axes = []
-    for name, raw, cast in lists:
+    for name in ("g", "p", "gamma", "n", "level"):
+        raw = getattr(args, f"{name}_list")
         if raw is None:
             continue
-        if name == unread:
+        if name in unread:
             raise ConfigError(f"--{name}-list does not apply to the {manifest.domain} domain")
-        axes.append((name, _parse_list(name, raw, cast)))
+        axes.append((name, _parse_list(name, raw)))
     base_out = _make_outdir(manifest.out)
 
     names = [name for name, _ in axes]
@@ -310,14 +320,14 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
         try:
             code, summary = run_single(sub)
             rows.append((point, sub, summary, None))
-        except (ValueError, LinearSolveError, LineSearchError) as exc:
-            code = 2 if isinstance(exc, ValueError) else 1     # as main maps them
+        except tuple(_FAILURES) as exc:
+            code = _failure(exc)[0]
             rows.append((point, sub, None, str(exc)))
         worst = max(worst, code)
 
     lines = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"]
     for point, sub, summary, failure in rows:
-        resolution = sub.n if sub.domain == "square" else sub.level
+        resolution = getattr(sub, _DOMAINS[sub.domain][0])
         if summary is None:
             lines.append(f"{sub.domain},{resolution},{sub.p:g},{sub.g:g},{sub.gamma:g},"
                          f"{sub.f:g},,,,,failed: {failure}")
@@ -333,7 +343,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--domain", choices=["square", "disk"])
+    sub.add_argument("--domain", choices=list(_DOMAINS))
     sub.add_argument("--n", type=int, help="square subdivisions per side")
     sub.add_argument("--level", type=int, help="disk refinement level")
     sub.add_argument("--p", type=float, help="flow index, > 1")
@@ -385,19 +395,10 @@ def main(argv: list[str] | None = None) -> int:
                       f"J={summary['final_objective']:.6g} out={manifest.out}")
                 return code
             return run_sweep(manifest, args)
-    except ValueError as exc:           # ConfigError, MeshError, AssemblyError, bad parameters
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError as exc:          # a mesh or system too large for this machine
-        print(f"configuration error: out of memory: {exc or 'allocation failed'}",
-              file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except (LinearSolveError, LineSearchError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_FAILURES) as exc:
+        code, prefix = _failure(exc)
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

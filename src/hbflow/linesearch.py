@@ -50,67 +50,23 @@ class LineSearchResult:
     trials: list = field(default_factory=list)   # every alpha tried, in order
 
 
-def _quadratic_minimizer(phi0: float, dphi0: float, phi1: float) -> float:
-    """Unclamped minimizer of the quadratic through (0, phi0), slope dphi0, (1, phi1)."""
+def quadratic_step(phi0: float, dphi0: float, phi1: float) -> float:
+    """First-backtrack step from the quadratic model, clamped to [0.1, 0.5].
+
+    Requires a descent slope dphi0 < 0 and a rejected unit step, i.e.
+    phi1 > phi0 + sigma1 * dphi0 for some sigma1 < 1. An infinite phi1
+    makes the model infinitely steep, so the step is the floor.
+    """
+    if dphi0 >= 0.0:
+        raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
     if np.isinf(phi1):
-        return 0.0  # infinitely steep model, clamp will raise this to the floor
+        return 0.1
     denom = phi1 - phi0 - dphi0
     if denom <= 0.0:
         raise LineSearchError(
             "quadratic model has no interior minimum; Armijo cannot have failed here"
         )
-    return -dphi0 / (2.0 * denom)
-
-
-def quadratic_step(phi0: float, dphi0: float, phi1: float) -> float:
-    """First-backtrack step from the quadratic model, clamped to [0.1, 0.5].
-
-    Requires a descent slope dphi0 < 0 and a rejected unit step, i.e.
-    phi1 > phi0 + sigma1 * dphi0 for some sigma1 < 1.
-    """
-    if dphi0 >= 0.0:
-        raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
-    raw = _quadratic_minimizer(phi0, dphi0, phi1)
-    return float(min(max(raw, 0.1), 0.5))
-
-
-def _cubic_coefficients(
-    phi0: float,
-    dphi0: float,
-    alpha_p: float,
-    phi_p: float,
-    alpha_2p: float,
-    phi_2p: float,
-) -> tuple[float, float]:
-    """Leading coefficients (c, d) of c a^3 + d a^2 + dphi0 a + phi0
-    interpolating the two most recent trials."""
-    if alpha_p == alpha_2p:
-        raise LineSearchError("cubic model needs distinct trial points")
-    r_p = phi_p - phi0 - dphi0 * alpha_p
-    r_2p = phi_2p - phi0 - dphi0 * alpha_2p
-    s = 1.0 / (alpha_p - alpha_2p)
-    c = s * (r_p / alpha_p**2 - r_2p / alpha_2p**2)
-    d = s * (-alpha_2p * r_p / alpha_p**2 + alpha_p * r_2p / alpha_2p**2)
-    return float(c), float(d)
-
-
-def _cubic_minimizer(c: float, d: float, dphi0: float) -> float | None:
-    """Local minimizer of the cubic, or None when degenerate.
-
-    Degenerate means |c| below 1e-14 (the cubic collapsed to a quadratic),
-    a negative discriminant, or non-finite coefficients from overflow in
-    the sampled phi values. With sigma1 < 1/4 the discriminant is
-    nonnegative for consistent inputs, so these cases are roundoff or
-    overflow artifacts and the caller falls back to halving.
-    """
-    if not (np.isfinite(c) and np.isfinite(d)):
-        return None
-    if abs(c) < 1e-14:
-        return None
-    disc = d * d - 3.0 * c * dphi0
-    if disc < 0.0:
-        return None
-    return (-d + np.sqrt(disc)) / (3.0 * c)
+    return float(min(max(-dphi0 / (2.0 * denom), 0.1), 0.5))
 
 
 def cubic_step(
@@ -121,15 +77,31 @@ def cubic_step(
     alpha_2p: float,
     phi_2p: float,
 ) -> float:
-    """Later-backtrack step from the cubic model, clamped to
-    [0.1 * alpha_p, 0.5 * alpha_p]; falls back to 0.5 * alpha_p when the
-    model is degenerate."""
+    """Later-backtrack step from the cubic model, clamped to [0.1, 0.5] * alpha_p.
+
+    The model c a^3 + d a^2 + dphi0 a + phi0 interpolates the two most recent
+    trials. It is degenerate when c or d is not finite (overflow in the
+    sampled phi values), when |c| < 1e-14 (the cubic collapsed to a
+    quadratic) or when the discriminant is negative. With sigma1 < 1/4 the
+    discriminant is nonnegative for consistent inputs, so these cases are
+    roundoff or overflow artifacts, and the step falls back to 0.5 * alpha_p.
+    """
     if dphi0 >= 0.0:
         raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
-    c, d = _cubic_coefficients(phi0, dphi0, alpha_p, phi_p, alpha_2p, phi_2p)
-    raw = _cubic_minimizer(c, d, dphi0)
-    if raw is None:
+    if alpha_p == alpha_2p:
+        raise LineSearchError("cubic model needs distinct trial points")
+    r_p = phi_p - phi0 - dphi0 * alpha_p
+    r_2p = phi_2p - phi0 - dphi0 * alpha_2p
+    s = 1.0 / (alpha_p - alpha_2p)
+    c = float(s * (r_p / alpha_p**2 - r_2p / alpha_2p**2))
+    d = float(s * (-alpha_2p * r_p / alpha_p**2 + alpha_p * r_2p / alpha_2p**2))
+    # tested ahead of the discriminant, so no overflow reaches numpy's arithmetic
+    if not (np.isfinite(c) and np.isfinite(d)) or abs(c) < 1e-14:
         return 0.5 * alpha_p
+    disc = d * d - 3.0 * c * dphi0
+    if disc < 0.0:
+        return 0.5 * alpha_p
+    raw = (-d + np.sqrt(disc)) / (3.0 * c)
     return float(min(max(raw, 0.1 * alpha_p), 0.5 * alpha_p))
 
 

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -221,6 +222,8 @@ def test_every_run_manifest_exits_with_a_documented_code(
             code = main(argv)
         written = Path(tmp) / "out" / "summary.json"
         summary = json.loads(written.read_text()) if written.exists() else None
+        stage_files = [re.fullmatch(r"history_stage(\d+)_gamma_(.+)\.csv", p.name).groups()
+                       for p in (Path(tmp) / "out").glob("history_stage*")]
     assert code in (0, 1, 2, 3)
     if summary is not None:
         # the gamma a run reports is the one its last stage solved at; unless
@@ -229,6 +232,10 @@ def test_every_run_manifest_exits_with_a_documented_code(
         assert summary["gamma"] == last["gamma"]
         if last["converged"] or last["iterations"] == max_iters:
             assert math.isclose(last["gamma"], float(flags["gamma"]), rel_tol=1e-12)
+        # each stage file's label reads back as the gamma that stage solved at
+        if len(summary["stages"]) > 1:
+            assert {int(idx): float(label) for idx, label in stage_files} == {
+                idx: stage["gamma"] for idx, stage in enumerate(summary["stages"], start=1)}
     assert err.getvalue().count("\n") <= 1
     assert "Traceback" not in err.getvalue()
 
@@ -310,6 +317,29 @@ max-iters = 400
     assert summary["converged"] is True
 
 
+def test_run_stage_file_names_read_back_as_their_gamma(tmp_path, capsys):
+    # the last stage, at 1050, would share the third's 1e+03 label at one digit
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", "--p", "3", "--max-iters", "3",
+            "--continuation", "--gamma", "1050", "--out", str(out)]
+    assert main(argv) == 1
+    assert sorted(p.name for p in out.glob("history_stage*")) == [
+        "history_stage01_gamma_1e+01.csv", "history_stage02_gamma_1e+02.csv",
+        "history_stage03_gamma_1e+03.csv", "history_stage04_gamma_1.05e+03.csv"]
+
+
+def test_run_error_names_the_failure_that_ended_the_ladder(tmp_path, capsys):
+    # every stage hits the iteration cap until a line-search failure ends the ladder
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", "--max-iters", "4", "--continuation",
+            "--gamma", "1e300", "--out", str(out)]
+    assert main(argv) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["stages"]) == 48
+    assert summary["gamma"] == 1e48
+    assert summary["error"] == "line search failed at iteration 3: step-too-small"
+
+
 def test_sweep_aggregates(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main([
@@ -360,7 +390,9 @@ def test_sweep_exits_with_the_largest_point_code(tmp_path, capsys, n_list, max_i
     (LinearSolveError("pcg stalled", None), 1),
     (LineSearchError("no descent"), 1),
     (ConfigError("bad point"), 2),
-], ids=["linear-solve", "line-search", "config"])
+    (MemoryError("Unable to allocate 3.0 TiB"), 2),
+    (OSError("disk full"), 3),
+], ids=["linear-solve", "line-search", "config", "out-of-memory", "io"])
 def test_sweep_point_exceptions_map_to_run_codes(tmp_path, capsys, monkeypatch,
                                                  point_failure, code):
     def single(manifest):

@@ -53,3 +53,18 @@ def test_compare_runs_prints_both_values_of_a_changed_summary_field(tmp_path):
         f"summary.json: final_objective {j!r} vs {moved!r} (relative difference 1.00e-09)",
         f"summary.json: stages[0].converged {converged!r} vs {not converged!r}",
     ]
+
+
+def test_compare_runs_flags_reordered_summary_fields(tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["run", "--domain", "square", "--n", "4", "--p", "1.5",
+                 "--max-iters", "3", "--out", str(a)]) in (0, 1)
+    shutil.copytree(a, b)
+    summary = json.loads((b / "summary.json").read_text())
+    keys = list(summary)
+    keys[1], keys[2] = keys[2], keys[1]
+    reordered = {key: summary[key] for key in keys}
+    (b / "summary.json").write_text(json.dumps(reordered, indent=2) + "\n")
+    swapped = compare(a, b)
+    assert swapped.returncode == 1
+    assert swapped.stdout.splitlines() == ["summary.json: field order differs"]

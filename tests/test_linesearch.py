@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from hbflow.linesearch import (
     MAX_BACKTRACKS,
     MIN_STEP,
@@ -66,6 +67,66 @@ def test_cubic_step_degenerate_falls_back_to_halving():
     assert cubic_step(0.0, -1.0, 1.0, 0.0, 0.5, -0.25) == 0.5
     with pytest.raises(LineSearchError):
         cubic_step(0.0, -1.0, 0.5, 1.0, 0.5, 1.0)  # coincident trials
+
+
+SLOPES = st.floats(min_value=-1e6, max_value=-1e-12)
+STEPS = st.floats(min_value=MIN_STEP, max_value=1.0)
+FINITE_PHIS = st.floats(min_value=-1e300, max_value=1e300)
+PHIS = FINITE_PHIS | st.just(np.inf)
+COEFFICIENTS = st.floats(min_value=-1e6, max_value=1e6)
+
+
+def bits(step, *args):
+    """A model step as float hex, or "misuse" when it raises LineSearchError."""
+    try:
+        return step(*args).hex()
+    except LineSearchError:
+        return "misuse"
+
+
+@st.composite
+def quadratic_inputs(draw):
+    phi0, dphi0 = draw(FINITE_PHIS), draw(SLOPES)
+    if draw(st.booleans()):
+        return phi0, dphi0, draw(PHIS)
+    # phi1 = phi0 + t * dphi0 puts the raw minimizer 1 / (2 (1 - t)) in and around the clamp
+    return phi0, dphi0, phi0 + draw(st.floats(min_value=-5.0, max_value=5.0)) * dphi0
+
+
+@settings(max_examples=500)
+@given(args=quadratic_inputs())
+@example(args=(0.0, 0.0, 1.0))          # not a descent direction
+@example(args=(0.0, -1.0, -np.inf))
+def test_quadratic_step_matches_its_split_oracle(args):
+    assert bits(quadratic_step, *args) == bits(oracles.quadratic_step, *args)
+
+
+@st.composite
+def cubic_inputs(draw):
+    phi0, dphi0 = draw(FINITE_PHIS), draw(SLOPES)
+    alpha_p, alpha_2p = draw(STEPS), draw(STEPS)
+    kind = draw(st.sampled_from(["samples", "cubic", "quadratic", "coincident"]))
+    if kind == "coincident":
+        alpha_2p = alpha_p
+    if kind == "samples":
+        return phi0, dphi0, alpha_p, draw(PHIS), alpha_2p, draw(PHIS)
+    # samples of c a^3 + d a^2 + dphi0 a + phi0: interior minimizers, both clamps and
+    # a negative discriminant, and with c = 0 the degenerate cubic
+    c = 0.0 if kind == "quadratic" else draw(COEFFICIENTS)
+    d = draw(COEFFICIENTS)
+    phi_p, phi_2p = (phi0 + dphi0 * a + d * a**2 + c * a**3 for a in (alpha_p, alpha_2p))
+    return phi0, dphi0, alpha_p, phi_p, alpha_2p, phi_2p
+
+
+@settings(max_examples=500)
+@given(args=cubic_inputs())
+@example(args=(0.0, 0.0, 0.5, 1.0, 1.0, 1.0))          # not a descent direction
+@example(args=(0.0, -1.0, 0.5, 1.0, 0.5, 1.0))         # coincident trials
+@example(args=(0.0, -1.0, 0.5, np.inf, 1.0, 0.0))      # non-finite c and d
+@example(args=(0.0, -1.0, 1.0, 0.0, 0.5, -0.25))       # c = 0
+@example(args=(0.0, -1.0, 0.5, -0.625, 1.0, -2.0))     # (c, d) = (-1, 0): disc = -3
+def test_cubic_step_matches_its_split_oracle(args):
+    assert bits(cubic_step, *args) == bits(oracles.cubic_step, *args)
 
 
 def test_search_accepts_quadratic_minimum():
