@@ -27,8 +27,6 @@ bit for bit (:func:`apply_weighted_stiffness`, the objective's gradient).
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
@@ -215,28 +213,18 @@ def _stiffness_pattern(gradient: sp.csr_matrix) -> _StiffnessPattern:
     return gradient._hbflow_stiffness_pattern
 
 
-def assemble_load_vector(
-    mesh: Mesh,
-    f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
-) -> np.ndarray:
-    """Interior load vector via the vertex quadrature (1/3) * area * sum of values.
-
-    The quadrature is exact for P1 integrands. ``f`` is a constant or a
-    vectorized callable of the coordinate arrays (x, y).
-    """
-    if callable(f):
-        fv = np.asarray(f(mesh.vertices[:, 0], mesh.vertices[:, 1]), dtype=np.float64)
-        if fv.shape != (mesh.num_vertices,):
-            raise AssemblyError(f"f returned shape {fv.shape}, expected ({mesh.num_vertices},)")
-    else:
-        fv = np.full(mesh.num_vertices, float(f))
-    if not np.all(np.isfinite(fv)):
+def assemble_load_vector(mesh: Mesh, f: float) -> np.ndarray:
+    """Interior load vector of the constant pressure drop f: f times the area
+    lumped at each interior vertex by the vertex quadrature (1/3) * area *
+    sum of values, which is exact for P1 integrands."""
+    f = float(f)
+    if not np.isfinite(f):
         raise AssemblyError("f must be finite at every vertex")
     lumped = np.zeros(mesh.num_vertices)
     third = mesh.areas / 3.0
     for k in range(3):
         np.add.at(lumped, mesh.triangles[:, k], third)
-    return (lumped * fv)[mesh.interior_indices]
+    return f * lumped[mesh.interior_indices]
 
 
 def expand_dirichlet(mesh: Mesh, u: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .assembly import expand_dirichlet
 from .export import write_history_csv, write_vtk
 from .linalg import LinearSolveError
-from .linesearch import LineSearchConfig, LineSearchError
+from .linesearch import LineSearchError
 from .mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
 from .solver import (
     GAMMA_FACTOR,
@@ -56,7 +56,7 @@ class RunManifest:
     f: float = 1.0
     tol: float = SolverConfig.tol
     max_iters: int = SolverConfig.max_iters
-    sigma1: float = LineSearchConfig.sigma1
+    sigma1: float = SolverConfig.sigma1
     continuation: bool = False
     out: str = "out"
     preset: str | None = None
@@ -161,11 +161,9 @@ def build_mesh(manifest: RunManifest) -> Mesh:
 
 def solver_config(manifest: RunManifest) -> SolverConfig:
     """The manifest's solver settings; SolverConfig rejects invalid values."""
-    return SolverConfig(
-        p=manifest.p, g=manifest.g, gamma=manifest.gamma, epsilon=manifest.epsilon,
-        tol=manifest.tol, max_iters=manifest.max_iters,
-        linesearch=LineSearchConfig(sigma1=manifest.sigma1),
-    )
+    return SolverConfig(p=manifest.p, g=manifest.g, gamma=manifest.gamma,
+                        epsilon=manifest.epsilon, tol=manifest.tol,
+                        max_iters=manifest.max_iters, sigma1=manifest.sigma1)
 
 
 def _stage_summary(gamma: float, outcome: SolveOutcome) -> dict:
@@ -299,7 +297,8 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     whatever the points return, with a ``failed:`` row for each point that
     raised.
     """
-    unread = {field for field, _ in _DOMAINS.values()} - {_DOMAINS[manifest.domain][0]}
+    resolution = _DOMAINS[manifest.domain][0]
+    unread = {field for field, _ in _DOMAINS.values()} - {resolution}
     axes = []
     for name in ("g", "p", "gamma", "n", "level"):
         raw = getattr(args, f"{name}_list")
@@ -311,7 +310,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     base_out = _make_outdir(manifest.out)
 
     names = [name for name, _ in axes]
-    rows = []
+    lines = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"]
     worst = 0
     for combo in itertools.product(*(values for _, values in axes)):
         point = dict(zip(names, combo))
@@ -319,25 +318,15 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
         sub = dataclasses.replace(manifest, out=str(base_out / "runs" / tag), **point)
         try:
             code, summary = run_single(sub)
-            rows.append((point, sub, summary, None))
         except tuple(_FAILURES) as exc:
-            code = _failure(exc)[0]
-            rows.append((point, sub, None, str(exc)))
-        worst = max(worst, code)
-
-    lines = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"]
-    for point, sub, summary, failure in rows:
-        resolution = getattr(sub, _DOMAINS[sub.domain][0])
-        if summary is None:
-            lines.append(f"{sub.domain},{resolution},{sub.p:g},{sub.g:g},{sub.gamma:g},"
-                         f"{sub.f:g},,,,,failed: {failure}")
+            code, result = _failure(exc)[0], f",,,,failed: {exc}"
         else:
-            lines.append(
-                f"{sub.domain},{resolution},{sub.p:g},{sub.g:g},{sub.gamma:g},{sub.f:g},"
-                f"{summary['h']:.10e},{summary['iterations']},"
-                f"{summary['final_objective']:.10e},{summary['final_rel_residual']:.10e},"
-                f"{summary['converged']}"
-            )
+            result = (f"{summary['h']:.10e},{summary['iterations']},"
+                      f"{summary['final_objective']:.10e},{summary['final_rel_residual']:.10e},"
+                      f"{summary['converged']}")
+        worst = max(worst, code)
+        lines.append(f"{sub.domain},{getattr(sub, resolution)},{sub.p:g},{sub.g:g},"
+                     f"{sub.gamma:g},{sub.f:g},{result}")
     (base_out / "aggregate.csv").write_text("\n".join(lines) + "\n")
     return worst
 

@@ -31,15 +31,6 @@ class LineSearchError(RuntimeError):
     """Misuse (non-descent direction, coincident trial points) or NaN phi."""
 
 
-@dataclass(frozen=True)
-class LineSearchConfig:
-    sigma1: float = 1e-4          # Armijo slope fraction, must be < 1/4 for the cubic
-
-    def __post_init__(self):
-        if not 0.0 < self.sigma1 < 0.25:
-            raise ValueError(f"sigma1 must be in (0, 1/4), got {self.sigma1}")
-
-
 @dataclass
 class LineSearchResult:
     alpha: float                  # accepted (or last attempted) step
@@ -109,7 +100,7 @@ def backtracking_search(
     phi: Callable[[float], float],
     phi0: float,
     dphi0: float,
-    config: LineSearchConfig | None = None,
+    sigma1: float,
 ) -> LineSearchResult:
     """Armijo backtracking from the unit step with polynomial-model trial steps.
 
@@ -121,9 +112,9 @@ def backtracking_search(
         raises :class:`LineSearchError`.
     phi0, dphi0 : float
         phi(0) and the directional derivative phi'(0), dphi0 < 0.
-    config : LineSearchConfig, optional
+    sigma1 : float
+        Armijo slope fraction in (0, 1/4), as ``SolverConfig`` checks it.
     """
-    cfg = config or LineSearchConfig()
     if dphi0 >= 0.0:
         raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
 
@@ -134,7 +125,7 @@ def backtracking_search(
         return v
 
     def armijo(a: float, v: float) -> bool:
-        return v <= phi0 + cfg.sigma1 * a * dphi0
+        return v <= phi0 + sigma1 * a * dphi0
 
     alpha = 1.0
     val = evaluate(alpha)

@@ -29,7 +29,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,7 +41,7 @@ from .assembly import (
 )
 from .huber import DualField, HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from .linalg import factorize_spd, matvec, solve_spd
-from .linesearch import LineSearchConfig, backtracking_search
+from .linesearch import backtracking_search
 from .mesh import Mesh
 
 # the continuation ladder: gamma from GAMMA_START to GAMMA_END, GAMMA_FACTOR per stage
@@ -65,13 +64,15 @@ class SolverConfig:
     p: float
     g: float
     gamma: float
-    epsilon: float = 1e-6
+    epsilon: float = HuberParams.epsilon
     tol: float = 1e-6             # relative gradient-norm stopping threshold
     max_iters: int = 100
-    linesearch: LineSearchConfig = field(default_factory=LineSearchConfig)
+    sigma1: float = 1e-4          # Armijo slope fraction, must be < 1/4 for the cubic
     linear: LinearConfig = field(default_factory=LinearConfig)
 
     def __post_init__(self):
+        if not 0.0 < self.sigma1 < 0.25:
+            raise ValueError(f"sigma1 must be in (0, 1/4), got {self.sigma1}")
         self.huber_params()   # validates p, g, gamma and epsilon
         if not (np.isfinite(self.tol) and self.tol > 0.0):
             raise ValueError(f"tol must be finite and > 0, got {self.tol}")
@@ -117,7 +118,9 @@ class SolveOutcome:
 
     @property
     def final_rel_residual(self) -> float:
-        return self.history[-1].rel_residual if self.history else 0.0
+        if not self.history:    # the iterate is u_0: residual 1, or 0 for a zero gradient
+            return 0.0 if self.grad0_norm == 0.0 else 1.0
+        return self.history[-1].rel_residual
 
 
 @dataclass
@@ -132,7 +135,7 @@ class _Problem:
     linear: LinearConfig
 
     @classmethod
-    def build(cls, mesh: Mesh, f, linear: LinearConfig) -> _Problem:
+    def build(cls, mesh: Mesh, f: float, linear: LinearConfig) -> _Problem:
         return cls(mesh, build_discrete_gradient(mesh), assemble_load_vector(mesh, f), linear)
 
     def _system(self, weights: np.ndarray, direct: bool = False):
@@ -168,7 +171,7 @@ class _Problem:
 def solve(
     mesh: Mesh,
     config: SolverConfig,
-    f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: float,
     u0: np.ndarray | None = None,
     *,
     problem: _Problem | None = None,
@@ -179,8 +182,8 @@ def solve(
     ----------
     mesh : Mesh
     config : SolverConfig
-    f : constant or callable
-        Right-hand side (pressure drop).
+    f : float
+        Constant right-hand side (pressure drop).
     u0 : ndarray, optional
         Warm start; defaults to the Poisson solution. Continuation passes
         the previous stage's iterate here.
@@ -192,9 +195,10 @@ def solve(
     Notes
     -----
     A failed line search terminates the loop with ``converged=False`` and
-    the current iterate; it does not raise. The relative residual of
-    iterate k is measured against ||J'(u_0)|| of THIS call, so each
-    continuation stage has its own normalizer.
+    the current iterate; it does not raise. A start iterate whose J is not
+    finite raises ``ValueError``. The relative residual of iterate k is
+    measured against ||J'(u_0)|| of THIS call, so each continuation stage
+    has its own normalizer.
     """
     params = config.huber_params()
     if problem is None:
@@ -210,9 +214,11 @@ def solve(
             raise ValueError("u0 must be finite at every interior vertex")
 
     xi = gradient_magnitudes(G, u)      # |grad u| at the current iterate, kept with it
+    objective0 = evaluate_objective(mesh, G, u, params, load, xi=xi)
+    if not np.isfinite(objective0):     # ahead of the gradient, whose weights overflow with J
+        raise ValueError(f"J is {objective0} at the start iterate")
     grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
     grad0_norm = float(np.linalg.norm(grad))
-    objective0 = evaluate_objective(mesh, G, u, params, load, xi=xi)
     history: list[IterationRecord] = []
     all_trials: list[list[float]] = []
 
@@ -237,7 +243,7 @@ def solve(
             trial.extend((v, gradient_magnitudes(G, v)))
             return evaluate_objective(mesh, G, v, params, load, xi=trial[1])
 
-        result = backtracking_search(phi, j_curr, dphi0, config.linesearch)
+        result = backtracking_search(phi, j_curr, dphi0, config.sigma1)
         all_trials.append(result.trials)
         if result.status != "accepted":
             failure = f"line search failed at iteration {k}: {result.status}"
@@ -260,7 +266,7 @@ def solve(
 def continuation_solve(
     mesh: Mesh,
     config: SolverConfig,
-    f: float | Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: float,
     *,
     gamma_start: float = GAMMA_START,
     gamma_end: float = GAMMA_END,

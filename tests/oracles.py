@@ -107,13 +107,12 @@ def full_gradient(mesh):
 
 def full_load(mesh, f):
     """Load over all vertices: each triangle adds area/3 times f at each of its
-    vertices. ``f`` is a constant or a callable of (x, y)."""
+    vertices. ``f`` is a constant."""
     out = np.zeros(mesh.vertices.shape[0])
     for idx in mesh.triangles:
         area = shoelace_area(mesh.vertices[idx])
         for v in idx:
-            x, y = mesh.vertices[v]
-            out[v] += area / 3.0 * (f(x, y) if callable(f) else f)
+            out[v] += area / 3.0 * f
     return out
 
 

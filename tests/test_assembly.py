@@ -129,15 +129,6 @@ def test_load_vector_lumped_quadrature(square4):
     np.testing.assert_allclose(load, 1.0 / 16.0, rtol=1e-13)
 
 
-def test_load_vector_callable(square4):
-    f = lambda x, y: x
-    load_full = oracles.full_load(square4, f)
-    # integral of x over the unit square
-    assert load_full.sum() == pytest.approx(0.5, rel=1e-12)
-    load = assemble_load_vector(square4, f)
-    np.testing.assert_allclose(load, load_full[square4.interior_indices], rtol=1e-13)
-
-
 def test_expand_dirichlet_roundtrip(square4, rng):
     u = rng.standard_normal(square4.num_interior)
     full = expand_dirichlet(square4, u)

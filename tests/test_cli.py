@@ -26,7 +26,7 @@ from hbflow.cli import (
 )
 from hbflow.export import CSV_HEADER
 from hbflow.linalg import LinearSolveError
-from hbflow.linesearch import LineSearchConfig, LineSearchError
+from hbflow.linesearch import LineSearchError
 from hbflow.solver import SolverConfig
 
 
@@ -96,9 +96,8 @@ def test_presets_cover_the_experiments():
 def test_manifest_defaults_are_the_library_defaults():
     manifest = RunManifest()
     solver = SolverConfig(p=2.0, g=0.2, gamma=1e3)
-    assert (manifest.epsilon, manifest.tol, manifest.max_iters) == (
-        solver.epsilon, solver.tol, solver.max_iters)
-    assert manifest.sigma1 == LineSearchConfig().sigma1
+    assert (manifest.epsilon, manifest.tol, manifest.max_iters, manifest.sigma1) == (
+        solver.epsilon, solver.tol, solver.max_iters, solver.sigma1)
 
 
 def test_unknown_preset_is_config_error(capsys):
@@ -152,6 +151,16 @@ def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
     assert not out.exists()     # a rejected run leaves no output directory
+
+
+def test_start_objective_overflow_is_config_error(tmp_path, capsys):
+    # no weights were given: the message names J, not the gradient's weights
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", "--p", "100", "--f", "1e4",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "configuration error: J is inf at the start iterate\n"
+    assert not out.exists()
 
 
 def test_unwritable_output_is_io_error(tmp_path, capsys):
@@ -232,6 +241,10 @@ def test_every_run_manifest_exits_with_a_documented_code(
         assert summary["gamma"] == last["gamma"]
         if last["converged"] or last["iterations"] == max_iters:
             assert math.isclose(last["gamma"], float(flags["gamma"]), rel_tol=1e-12)
+        # a stage that accepted no step reports its start iterate's residual
+        for stage in summary["stages"]:
+            if stage["iterations"] == 0 and not stage["converged"]:
+                assert stage["final_rel_residual"] == 1.0
         # each stage file's label reads back as the gamma that stage solved at
         if len(summary["stages"]) > 1:
             assert {int(idx): float(label) for idx, label in stage_files} == {

@@ -24,10 +24,10 @@ def test_compare_iterates_flags_a_changed_sigma1_default(tmp_path):
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
     (copy / "benchmarks").mkdir()
     shutil.copy(ROOT / "benchmarks" / "workloads.py", copy / "benchmarks")
-    linesearch = copy / "src" / "hbflow" / "linesearch.py"
-    text = linesearch.read_text()
+    solver = copy / "src" / "hbflow" / "solver.py"
+    text = solver.read_text()
     assert text.count("sigma1: float = 1e-4 ") == 1
-    linesearch.write_text(text.replace("sigma1: float = 1e-4 ", "sigma1: float = 0.2 "))
+    solver.write_text(text.replace("sigma1: float = 1e-4 ", "sigma1: float = 0.2 "))
 
     changed = compare(ROOT, copy)
     assert changed.returncode == 1, changed.stderr

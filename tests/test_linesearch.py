@@ -7,17 +7,18 @@ import oracles
 from hbflow.linesearch import (
     MAX_BACKTRACKS,
     MIN_STEP,
-    LineSearchConfig,
     LineSearchError,
     backtracking_search,
     cubic_step,
     quadratic_step,
 )
+from hbflow.solver import SolverConfig
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LineSearchConfig(sigma1=0.25)
+    for bad in (0.25, 0.0, np.nan):
+        with pytest.raises(ValueError, match=r"^sigma1 must be in \(0, 1/4\)"):
+            SolverConfig(p=2.0, g=0.2, gamma=10.0, sigma1=bad)
 
 
 def test_quadratic_step_interior():
@@ -131,7 +132,7 @@ def test_cubic_step_matches_its_split_oracle(args):
 
 def test_search_accepts_quadratic_minimum():
     phi = lambda a: (a - 0.2) ** 2
-    res = backtracking_search(phi, phi0=0.04, dphi0=-0.4)
+    res = backtracking_search(phi, phi0=0.04, dphi0=-0.4, sigma1=1e-4)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(0.2, rel=1e-15)
     assert res.phi == pytest.approx(0.0, abs=1e-30)
@@ -141,7 +142,7 @@ def test_search_accepts_quadratic_minimum():
 
 
 def test_search_accepts_unit_step_on_descent():
-    res = backtracking_search(lambda a: -a, phi0=0.0, dphi0=-1.0)
+    res = backtracking_search(lambda a: -a, phi0=0.0, dphi0=-1.0, sigma1=1e-4)
     assert res.status == "accepted"
     assert res.alpha == 1.0
     assert res.backtracks == 0
@@ -152,7 +153,7 @@ def test_search_treats_inf_as_rejection():
     def phi(a):
         return np.inf if a > 0.5 else (a - 0.1) ** 2
 
-    res = backtracking_search(phi, phi0=0.01, dphi0=-0.2)
+    res = backtracking_search(phi, phi0=0.01, dphi0=-0.2, sigma1=1e-4)
     assert res.status == "accepted"
     assert res.alpha == pytest.approx(0.1, rel=1e-15)
     assert res.trials == pytest.approx([1.0, 0.1])
@@ -160,20 +161,20 @@ def test_search_treats_inf_as_rejection():
 
 def test_search_raises_on_nan():
     with pytest.raises(LineSearchError):
-        backtracking_search(lambda a: np.nan, phi0=0.0, dphi0=-1.0)
+        backtracking_search(lambda a: np.nan, phi0=0.0, dphi0=-1.0, sigma1=1e-4)
 
 
 def test_search_rejects_non_descent_slope():
     with pytest.raises(LineSearchError):
-        backtracking_search(lambda a: a, phi0=0.0, dphi0=0.0)
+        backtracking_search(lambda a: a, phi0=0.0, dphi0=0.0, sigma1=1e-4)
     with pytest.raises(LineSearchError):
-        backtracking_search(lambda a: a, phi0=0.0, dphi0=1.0)
+        backtracking_search(lambda a: a, phi0=0.0, dphi0=1.0, sigma1=1e-4)
 
 
 def test_search_gives_up_after_max_backtracks():
     # a flat phi rejects every trial; each step shrinks by at most half, so
     # the cap stops the search before the steps reach MIN_STEP
-    res = backtracking_search(lambda a: 1.0, phi0=1.0, dphi0=-1.0)
+    res = backtracking_search(lambda a: 1.0, phi0=1.0, dphi0=-1.0, sigma1=1e-4)
     assert res.status == "step-too-small"
     assert res.evaluations == MAX_BACKTRACKS + 1
     assert res.backtracks == MAX_BACKTRACKS + 1     # every trial, the unit step too
@@ -187,7 +188,7 @@ def test_search_gives_up_below_min_step():
     # a steep phi shrinks the trial steps fast enough that the next model
     # step falls below MIN_STEP before the backtrack cap is reached
     phi = lambda a: 1.0 + 1e6 * a * a
-    res = backtracking_search(phi, phi0=1.0, dphi0=-1.0)
+    res = backtracking_search(phi, phi0=1.0, dphi0=-1.0, sigma1=1e-4)
     assert res.status == "step-too-small"
     assert res.evaluations == 22
     assert res.backtracks == 22
@@ -202,7 +203,7 @@ def test_search_safeguards_trial_ratios():
     # minimum far below the floor: every backtrack must shrink the step by a
     # factor inside the fixed [0.1, 0.5] clamp
     phi = lambda a: (a - 0.01) ** 2
-    res = backtracking_search(phi, phi0=1e-4, dphi0=-0.02)
+    res = backtracking_search(phi, phi0=1e-4, dphi0=-0.02, sigma1=1e-4)
     assert res.status == "accepted"
     ratios = np.diff(np.log(res.trials))
     assert np.all(ratios <= np.log(0.5) + 1e-12)

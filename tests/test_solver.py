@@ -6,7 +6,13 @@ import pytest
 
 import hbflow.linalg
 import hbflow.solver
-from hbflow.assembly import build_discrete_gradient, expand_dirichlet, gradient_magnitudes
+from hbflow.assembly import (
+    AssemblyError,
+    assemble_load_vector,
+    build_discrete_gradient,
+    expand_dirichlet,
+    gradient_magnitudes,
+)
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from hbflow.linesearch import LineSearchResult
 from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
@@ -127,6 +133,33 @@ def test_solve_zero_load_is_trivial(square4):
     assert out.final_rel_residual == 0.0
     assert out.final_objective == 0.0
     assert not np.any(out.dual.active)
+
+
+def test_solve_without_a_step_reports_the_start_residual(square4):
+    out = solve(square4, SolverConfig(p=3.0, g=0.2, gamma=100.0, max_iters=0), 1.0)
+    assert not out.converged
+    assert out.iterations == 0
+    assert out.grad0_norm > 0.0
+    # the iterate is u_0, whose residual relative to itself is 1, not 0
+    assert out.final_rel_residual == 1.0
+    assert out.final_objective == out.objective0
+
+
+def test_solve_rejects_a_start_whose_objective_overflows():
+    # the Poisson start for f = 1e4 has xi up to 2.6e3, whose 100th power overflows
+    mesh = build_unit_square_mesh(6)
+    with pytest.raises(ValueError, match=r"^J is inf at the start iterate$"):
+        solve(mesh, SolverConfig(p=100.0, g=0.2, gamma=1e3), 1e4)
+
+
+def test_load_is_a_finite_number(square4):
+    with pytest.raises(TypeError):
+        assemble_load_vector(square4, lambda x, y: x)
+    with pytest.raises(TypeError):
+        solve(square4, SolverConfig(p=1.5, g=0.2, gamma=10.0), lambda x, y: x)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(AssemblyError, match="^f must be finite"):
+            assemble_load_vector(square4, bad)
 
 
 def test_solve_shear_thinning_square(square16):
@@ -388,10 +421,10 @@ def test_failed_search_leaves_the_dual_of_the_returned_iterate(square16, monkeyp
         magnitudes.append(real_magnitudes(gradient, v))
         return magnitudes[-1]
 
-    def failing_second(phi, phi0, dphi0, config):
+    def failing_second(phi, phi0, dphi0, sigma1):
         if not failing_second.searched:
             failing_second.searched = True
-            return real(phi, phi0, dphi0, config)
+            return real(phi, phi0, dphi0, sigma1)
         trials = [1.0, 0.5]
         values = [phi(a) for a in trials]
         return LineSearchResult(trials[-1], values[-1], 2, 2, "step-too-small", trials)
