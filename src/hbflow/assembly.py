@@ -219,7 +219,7 @@ def assemble_load_vector(mesh: Mesh, f: float) -> np.ndarray:
     sum of values, which is exact for P1 integrands."""
     f = float(f)
     if not np.isfinite(f):
-        raise AssemblyError("f must be finite at every vertex")
+        raise AssemblyError(f"f must be finite, got {f}")
     lumped = np.zeros(mesh.num_vertices)
     third = mesh.areas / 3.0
     for k in range(3):

@@ -84,17 +84,28 @@ def _edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edge table: the unique undirected edges (low, high), numbered as first
     met along each triangle's sides ab, bc, ca (this order numbers refined
     vertices); each triangle's three edge numbers; triangles per edge.
+
+    One stable argsort of the side keys groups equal sides with the earliest
+    side first, so each group's first side is the edge's first appearance.
     """
-    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
-    keys = sides[:, 0] * (triangles.max(initial=0) + 1) + sides[:, 1]
-    # return_index makes np.unique sort stably, so ``first`` is each key's first side
-    _, first, inverse, counts = np.unique(
-        keys, return_index=True, return_inverse=True, return_counts=True
-    )
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    return sides[first[order]], number[inverse].reshape(-1, 3), counts[order]
+    ends = triangles[:, [1, 2, 0]]
+    low = np.minimum(triangles, ends).ravel()
+    high = np.maximum(triangles, ends).ravel()
+    keys = low * (triangles.max(initial=0) + 1) + high
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    start = np.ones(keys.size, dtype=bool)      # sorted position that opens an edge
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=start[1:])
+    heads = order[start]                        # each edge's first side, in key order
+    first = np.zeros(keys.size, dtype=bool)
+    first[heads] = True
+    number = np.cumsum(first)[heads] - 1        # edge numbers, in key order
+    sizes = np.diff(np.flatnonzero(start), append=keys.size)
+    side_edge = np.empty_like(order)
+    side_edge[order] = np.repeat(number, sizes)
+    counts = np.empty_like(sizes)
+    counts[number] = sizes
+    return np.column_stack([low[first], high[first]]), side_edge.reshape(-1, 3), counts
 
 
 def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
@@ -107,7 +118,8 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     ------
     MeshError
         If any triangle has non-positive area (wrong orientation or
-        degenerate geometry) or the arrays have inconsistent shapes.
+        degenerate geometry), an edge lies on more than two triangles, or
+        the arrays have inconsistent shapes.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -121,32 +133,32 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     # the edge table is freed before the geometry arrays exist, so the two
     # never share one peak and leave fewer holes in the allocator's heap
     edges, _, counts = _edges(triangles)
+    if np.any(counts > 2):
+        bad = int(np.argmax(counts))
+        raise MeshError(f"edge {tuple(edges[bad].tolist())} lies on {counts[bad]} triangles")
     boundary_vertex = np.zeros(len(vertices), dtype=bool)
     boundary_vertex[edges[counts == 1]] = True
     del edges, _, counts
 
-    p0 = vertices[triangles[:, 0]]
-    p1 = vertices[triangles[:, 1]]
-    p2 = vertices[triangles[:, 2]]
+    x0, x1, x2 = vertices[:, 0][triangles.T]
+    y0, y1, y2 = vertices[:, 1][triangles.T]
     # twice the signed area; positive iff counterclockwise
-    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
-        p1[:, 1] - p0[:, 1]
-    )
+    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
     if np.any(det <= 0.0):
         bad = int(np.argmin(det))
         raise MeshError(f"triangle {bad} has non-positive area (det={det[bad]:g})")
     areas = 0.5 * det
 
     # grad of hat_i is perpendicular to the opposite edge, scaled by 1/(2A)
-    g0 = np.column_stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]]) / det[:, None]
-    g1 = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]]) / det[:, None]
-    g2 = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]]) / det[:, None]
-    basis_gradients = np.stack([g0, g1, g2], axis=1)
+    basis_gradients = np.stack(
+        [y1 - y2, x2 - x1, y2 - y0, x0 - x2, y0 - y1, x1 - x0], axis=1
+    ).reshape(-1, 3, 2) / det[:, None, None]
 
+    # each side's length rounds as np.linalg.norm(axis=1) of its (dx, dy) row
     semi = 0.5 * (
-        np.linalg.norm(p1 - p0, axis=1)
-        + np.linalg.norm(p2 - p1, axis=1)
-        + np.linalg.norm(p0 - p2, axis=1)
+        np.sqrt((x1 - x0) * (x1 - x0) + (y1 - y0) * (y1 - y0))
+        + np.sqrt((x2 - x1) * (x2 - x1) + (y2 - y1) * (y2 - y1))
+        + np.sqrt((x0 - x2) * (x0 - x2) + (y0 - y2) * (y0 - y2))
     )
     h = float(np.max(areas / semi)) if len(areas) else 0.0
 

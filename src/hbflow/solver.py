@@ -136,7 +136,12 @@ class _Problem:
 
     @classmethod
     def build(cls, mesh: Mesh, f: float, linear: LinearConfig) -> _Problem:
-        return cls(mesh, build_discrete_gradient(mesh), assemble_load_vector(mesh, f), linear)
+        load = assemble_load_vector(mesh, f)
+        with np.errstate(over="ignore"):    # an overflow is the error raised below
+            load_norm = float(np.linalg.norm(load))
+        if not np.isfinite(load_norm):      # ahead of the Poisson start, which solves for it
+            raise ValueError(f"||load|| is {load_norm}")
+        return cls(mesh, build_discrete_gradient(mesh), load, linear)
 
     def _system(self, weights: np.ndarray, direct: bool = False):
         """Weighted stiffness, with its LU factor if ``direct`` or for the direct method."""
@@ -195,8 +200,9 @@ def solve(
     Notes
     -----
     A failed line search terminates the loop with ``converged=False`` and
-    the current iterate; it does not raise. A start iterate whose J is not
-    finite raises ``ValueError``. The relative residual of iterate k is
+    the current iterate; it does not raise. A load, or a start iterate's J
+    or J', whose norm is not finite raises ``ValueError`` before any linear
+    solve that would use it. The relative residual of iterate k is
     measured against ||J'(u_0)|| of THIS call, so each continuation stage
     has its own normalizer.
     """
@@ -218,7 +224,10 @@ def solve(
     if not np.isfinite(objective0):     # ahead of the gradient, whose weights overflow with J
         raise ValueError(f"J is {objective0} at the start iterate")
     grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
-    grad0_norm = float(np.linalg.norm(grad))
+    with np.errstate(over="ignore"):    # an overflow is the error raised below
+        grad0_norm = float(np.linalg.norm(grad))
+    if not np.isfinite(grad0_norm):     # ahead of the first descent solve
+        raise ValueError(f"||J'(u0)|| is {grad0_norm} at the start iterate")
     history: list[IterationRecord] = []
     all_trials: list[list[float]] = []
 

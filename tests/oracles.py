@@ -11,11 +11,12 @@ for whole-space identities the package's interior-only operators cannot
 show. The exact radially symmetric solution on the unit disk comes from a
 scalar equation per radius and 1-D quadrature.
 
-Four oracles keep an earlier implementation instead, for bit-for-bit and
-byte-for-byte comparison: the weighted stiffness as scipy's sparse product
-G^T D G, the VTK writer that joins the whole file in memory, the
-Jacobi-PCG solve through scipy's ``cg``, and the line search's two model
-steps with the three helpers they were split into.
+Five oracles keep an earlier implementation instead, for bit-for-bit and
+byte-for-byte comparison: the mesh edge table through ``np.unique`` and the
+mesh geometry from per-corner point arrays, the weighted stiffness as
+scipy's sparse product G^T D G, the VTK writer that joins the whole file in
+memory, the Jacobi-PCG solve through scipy's ``cg``, and the line search's
+two model steps with the three helpers they were split into.
 """
 
 import time
@@ -250,6 +251,53 @@ def square_mesh(n):
             v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
             tris += [(v00, v10, v11), (v00, v11, v01)]
     return np.array(verts), np.array(tris), boundary_flags(len(verts), tris)
+
+
+def edge_table(triangles):
+    """The mesh edge table as ``np.unique`` with a second argsort built it:
+    edges (low, high) by first appearance, each triangle's edge numbers,
+    triangles per edge."""
+    sides = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    keys = sides[:, 0] * (triangles.max(initial=0) + 1) + sides[:, 1]
+    # return_index makes np.unique sort stably, so ``first`` is each key's first side
+    _, first, inverse, counts = np.unique(
+        keys, return_index=True, return_inverse=True, return_counts=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return sides[first[order]], number[inverse].reshape(-1, 3), counts[order]
+
+
+def mesh_geometry(vertices, triangles):
+    """Boundary flags, areas, basis gradients and h as ``make_mesh`` computed
+    them from (nt, 2) corner arrays, for valid float64/int64 input."""
+    edges, _, counts = edge_table(triangles)
+    boundary_vertex = np.zeros(len(vertices), dtype=bool)
+    boundary_vertex[edges[counts == 1]] = True
+
+    p0 = vertices[triangles[:, 0]]
+    p1 = vertices[triangles[:, 1]]
+    p2 = vertices[triangles[:, 2]]
+    # twice the signed area; positive iff counterclockwise
+    det = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p2[:, 0] - p0[:, 0]) * (
+        p1[:, 1] - p0[:, 1]
+    )
+    areas = 0.5 * det
+
+    # grad of hat_i is perpendicular to the opposite edge, scaled by 1/(2A)
+    g0 = np.column_stack([p1[:, 1] - p2[:, 1], p2[:, 0] - p1[:, 0]]) / det[:, None]
+    g1 = np.column_stack([p2[:, 1] - p0[:, 1], p0[:, 0] - p2[:, 0]]) / det[:, None]
+    g2 = np.column_stack([p0[:, 1] - p1[:, 1], p1[:, 0] - p0[:, 0]]) / det[:, None]
+    basis_gradients = np.stack([g0, g1, g2], axis=1)
+
+    semi = 0.5 * (
+        np.linalg.norm(p1 - p0, axis=1)
+        + np.linalg.norm(p2 - p1, axis=1)
+        + np.linalg.norm(p0 - p2, axis=1)
+    )
+    h = float(np.max(areas / semi)) if len(areas) else 0.0
+    return boundary_vertex, areas, basis_gradients, h
 
 
 def write_vtk(path, mesh, point_data=None, cell_data=None):

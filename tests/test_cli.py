@@ -153,13 +153,21 @@ def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
     assert not out.exists()     # a rejected run leaves no output directory
 
 
-def test_start_objective_overflow_is_config_error(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
     # no weights were given: the message names J, not the gradient's weights
+    pytest.param(["--p", "100", "--f", "1e4"], "J is inf at the start iterate",
+                 id="objective"),
+    # the Poisson start would solve for a load whose norm overflows
+    pytest.param(["--p", "3", "--f", "1e200"], "||load|| is inf", id="load"),
+    # stage 1's first descent solve would take a gradient whose norm overflows
+    pytest.param(["--p", "100", "--f", "1e3", "--continuation"],
+                 "||J'(u0)|| is inf at the start iterate", id="gradient"),
+])
+def test_start_overflow_is_config_error(tmp_path, capsys, flags, message):
     out = tmp_path / "out"
-    argv = ["run", "--domain", "square", "--n", "6", "--p", "100", "--f", "1e4",
-            "--out", str(out)]
+    argv = ["run", "--domain", "square", "--n", "6", *flags, "--out", str(out)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "configuration error: J is inf at the start iterate\n"
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
     assert not out.exists()
 
 
@@ -173,13 +181,15 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
 
 
 def test_numeric_warnings_stay_off_stderr(tmp_path):
-    # pytest captures warnings in-process, so only a child process shows them
+    # pytest captures warnings in-process, so only a child process shows them;
+    # load and start gradient are finite, but the first descent solve's CG
+    # overflows in its dot products and stalls at a nan residual
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     argv = [sys.executable, "-m", "hbflow.cli", "run", "--domain", "square", "--n", "6",
-            "--f", "1e300", "--out", str(tmp_path / "out")]
+            "--p", "1.1", "--f", "1e40", "--out", str(tmp_path / "out")]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("solver failure: ")
+    assert proc.stderr.startswith("solver failure: pcg stalled at relative residual nan")
     assert proc.stderr.count("\n") == 1
 
 

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import Delaunay, QhullError
 
+import hbflow.mesh
 from hbflow.mesh import (
     Mesh,
     MeshError,
@@ -9,7 +13,14 @@ from hbflow.mesh import (
     build_unit_square_mesh,
     make_mesh,
 )
-from oracles import disk_mesh, edge_counts, shoelace_area, square_mesh
+from oracles import (
+    disk_mesh,
+    edge_counts,
+    edge_table,
+    mesh_geometry,
+    shoelace_area,
+    square_mesh,
+)
 
 REF_H = (2.0 - np.sqrt(2.0)) / 2.0          # inradius of the unit right triangle
 EQUILATERAL_H = 1.0 / (2.0 * np.sqrt(3.0))  # inradius of the unit equilateral triangle
@@ -120,6 +131,55 @@ def test_numbering_matches_brute_force(build, oracle, size):
     assert m.num_vertices - len(edges) + m.num_triangles == 1
 
 
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_matches_oracle(mesh, reference):
+    """Every array of ``mesh`` and its edge table, bit for bit, against the
+    oracle geometry of ``reference``'s vertices and triangles."""
+    assert_same_bits(mesh.vertices, reference.vertices)
+    assert_same_bits(mesh.triangles, reference.triangles)
+    boundary, areas, basis_gradients, h = mesh_geometry(reference.vertices, reference.triangles)
+    assert_same_bits(mesh.boundary_vertex, boundary)
+    assert_same_bits(mesh.areas, areas)
+    assert_same_bits(mesh.basis_gradients, basis_gradients)
+    assert mesh.h.hex() == h.hex()
+    for got, want in zip(_edges(mesh.triangles), edge_table(reference.triangles)):
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("build, size", [
+    *((build_unit_disk_mesh, level) for level in range(7)),
+    *((build_unit_square_mesh, n) for n in (1, 2, 5, 50, 101)),
+])
+def test_mesh_matches_the_oracle_bit_for_bit(build, size, monkeypatch):
+    mesh = build(size)
+    # the disk's refined vertices are numbered by the oracle's edge table
+    monkeypatch.setattr(hbflow.mesh, "_edges", edge_table)
+    assert_matches_oracle(mesh, build(size))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(3, 200),
+       scale=st.sampled_from([1e-3, 1.0, 7.0, 1e4]))
+def test_delaunay_mesh_matches_the_oracle_bit_for_bit(seed, size, scale):
+    # generic coordinates, whose sides and areas round in their last bits
+    vertices = scale * np.random.default_rng(seed).random((size, 2))
+    try:
+        triangles = Delaunay(vertices).simplices.astype(np.int64)
+    except QhullError:                  # collinear or otherwise flat point sets
+        assume(False)
+    v = vertices[triangles]
+    det = ((v[:, 1, 0] - v[:, 0, 0]) * (v[:, 2, 1] - v[:, 0, 1])
+           - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1]))
+    triangles[det < 0] = triangles[det < 0][:, ::-1]     # counterclockwise
+    assume(np.all(mesh_geometry(vertices, triangles)[1] > 0.0))
+    mesh = make_mesh(vertices, triangles)
+    assert_matches_oracle(mesh, mesh)
+
+
 def test_make_mesh_rejects_bad_input():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
@@ -130,6 +190,9 @@ def test_make_mesh_rejects_bad_input():
         make_mesh(verts, np.array([[0, 1, 3]]))          # index out of range
     with pytest.raises(MeshError):
         make_mesh(verts[:, :1], np.array([[0, 1, 2]]))   # wrong vertex shape
+    fan = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.5], [0.5, 2.0]])
+    with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies on 3 triangles$"):
+        make_mesh(fan, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))   # non-manifold
 
 
 def test_boundary_flags_from_edge_counts():

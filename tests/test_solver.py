@@ -152,13 +152,32 @@ def test_solve_rejects_a_start_whose_objective_overflows():
         solve(mesh, SolverConfig(p=100.0, g=0.2, gamma=1e3), 1e4)
 
 
+@pytest.mark.parametrize("p, f, message, solves", [
+    (3.0, 1e200, r"^\|\|load\|\| is inf$", 0),
+    # J is finite here, but J' has entries near 1e238 and its norm overflows
+    (100.0, 1e3, r"^\|\|J'\(u0\)\|\| is inf at the start iterate$", 1),
+])
+def test_solve_rejects_a_start_whose_norm_overflows(monkeypatch, p, f, message, solves):
+    calls = []
+    real = hbflow.solver.solve_spd
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hbflow.solver, "solve_spd", counted)
+    with pytest.raises(ValueError, match=message):
+        solve(build_unit_square_mesh(6), SolverConfig(p=p, g=0.2, gamma=10.0), f)
+    assert len(calls) == solves       # at most the Poisson start, never a descent solve
+
+
 def test_load_is_a_finite_number(square4):
     with pytest.raises(TypeError):
         assemble_load_vector(square4, lambda x, y: x)
     with pytest.raises(TypeError):
         solve(square4, SolverConfig(p=1.5, g=0.2, gamma=10.0), lambda x, y: x)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(AssemblyError, match="^f must be finite"):
+        with pytest.raises(AssemblyError, match=rf"^f must be finite, got {bad}$"):
             assemble_load_vector(square4, bad)
 
 
