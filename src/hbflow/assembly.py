@@ -31,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .linalg import matvec
 from .mesh import Mesh
 
 
@@ -71,7 +70,7 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
 
 def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
     """Per-triangle |grad u^h|: xi_k = |(Gu)_k, (Gu)_{k+nt}|."""
-    g = matvec(gradient, u)
+    g = gradient @ u
     nt = g.shape[0] // 2
     return np.hypot(g[:nt], g[nt:])
 

@@ -7,8 +7,10 @@ aggregates the endpoints into one CSV.
 
 Configuration precedence, lowest to highest: built-in defaults, --preset,
 --config key=value file, explicit flags. Exit codes: 0 success, 1 solver
-did not converge, 2 bad configuration (an oversized problem included), 3 I/O
-failure. A sweep exits with the largest code among its points.
+did not converge, 2 bad configuration, out-of-range problems included (one
+that runs out of memory, or whose load, start iterate or a linear solve
+overflows float64), 3 I/O failure. A sweep exits with the largest code
+among its points.
 """
 
 from __future__ import annotations
@@ -182,6 +184,16 @@ def _gamma_label(gamma: float) -> str:
                 if float(label) == gamma)
 
 
+def _euclidean_norm(u: np.ndarray) -> float:
+    """||u||, rescaled by max|u| only if the plain norm overflows, so others keep their bits."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(u))
+    if norm == np.inf:
+        scale = float(np.max(np.abs(u)))
+        norm = scale * float(np.linalg.norm(u / scale))
+    return norm
+
+
 def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
                    stages: list, wall_time: float, error: str | None) -> dict:
     final = stages[-1][1]
@@ -217,19 +229,19 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
         "iterations": sum(outcome.iterations for _, outcome in stages),
         "final_objective": final.final_objective,
         "final_rel_residual": final.final_rel_residual,
-        "u_euclidean_norm": float(np.linalg.norm(final.u)),
+        "u_euclidean_norm": _euclidean_norm(final.u),
         "wp_seminorm": _wp_seminorm(mesh, final.dual.xi, manifest.p),
         "stages": [_stage_summary(gamma, outcome) for gamma, outcome in stages],
         "error": error,
         "wall_time_seconds": wall_time,
     }
-    (outdir / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    (outdir / "summary.json").write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     return summary
 
 
 # exit code and stderr prefix of each failure a run can raise; the first matching class wins
 _FAILURES = {
-    ValueError: (2, "configuration error"),     # ConfigError, MeshError, AssemblyError, ...
+    ValueError: (2, "configuration error"),     # ConfigError, MeshError, an overflow, ...
     MemoryError: (2, "configuration error: out of memory"),    # a problem too large to fit
     OSError: (3, "i/o error"),
     LinearSolveError: (1, "solver failure"),

@@ -30,7 +30,6 @@ import scipy.sparse as sp
 from .assembly import apply_weighted_stiffness, gradient_magnitudes
 # bound here only for the benchmark's huber.gradient_assembly hook (ROADMAP item 1)
 from .assembly import assemble_weighted_stiffness  # noqa: F401
-from .linalg import matvec
 from .mesh import Mesh
 
 
@@ -169,7 +168,7 @@ def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams, *,
 
     ``xi``, when given, must be ``gradient_magnitudes(gradient, u)``.
     """
-    gvec = matvec(gradient, u)
+    gvec = gradient @ u
     nt = gvec.shape[0] // 2
     gx, gy = gvec[:nt], gvec[nt:]
     if xi is None:

@@ -5,29 +5,24 @@ given, and without one runs conjugate gradients with a Jacobi (diagonal)
 preconditioner at a tight relative tolerance (Saad, *Iterative Methods for
 Sparse Linear Systems*, 2003, Alg. 9.1). The solver's ``_Problem`` decides
 which systems get a factor and builds each with :func:`factorize_spd`.
-Every solve verifies its own residual with an independent matvec before
-returning.
+Every solve verifies its own residual with an independent product ``A @ x``
+before returning.
 
 The CG loop, :func:`_jacobi_cg`, is this module's own: it takes the steps of
 scipy 1.17.1's ``scipy.sparse.linalg.cg`` with a diagonal preconditioner in
 the same order, one floating-point operation for another, so its iterates
 are scipy's bit for bit. It uses no fused multiply-add (BLAS ``axpy``),
 because that rounds once where scipy rounds twice.
-
-:func:`matvec` is the package's sparse matrix-vector product: ``A @ x`` bit
-for bit, without scipy's operator dispatch.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import _sparsetools
 
 
 @dataclass(frozen=True)
@@ -35,7 +30,6 @@ class SpdSolveReport:
     method: str
     iterations: int
     rel_residual: float
-    wall_time: float
 
 
 class LinearSolveError(RuntimeError):
@@ -46,22 +40,8 @@ class LinearSolveError(RuntimeError):
         self.report = report
 
 
-def matvec(A, x) -> np.ndarray:
-    """``A @ x`` for a sparse A and a vector x, with the same bits.
-
-    For a float64 CSR matrix and an x that casts safely to float64, this
-    calls the kernel that ``A @ x`` calls, on x cast to contiguous float64,
-    as scipy casts it; anything else is ``A @ x`` itself.
-    """
-    xa = np.asarray(x)
-    if not (sp.issparse(A) and A.format == "csr" and A.ndim == 2 and A.dtype == np.float64
-            and xa.shape == (A.shape[1],) and np.can_cast(xa.dtype, np.float64)):
-        return A @ x
-    m, n = A.shape
-    out = np.zeros(m)
-    _sparsetools.csr_matvec(m, n, A.indptr, A.indices, A.data,
-                            np.ascontiguousarray(xa, dtype=np.float64), out)
-    return out
+class LinearSolveRangeError(LinearSolveError, ValueError):
+    """A right-hand side or residual that is not finite: the problem is out of range."""
 
 
 def factorize_spd(A: sp.spmatrix) -> spla.SuperLU:
@@ -79,7 +59,7 @@ def _jacobi_cg(A, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int,
     ``M = diags(inv_diag)``, in the same order: its preconditioner adds the
     product into zeros, so ``z += 0.0`` turns -0.0 into +0.0 as it does.
     """
-    r = b - matvec(A, x) if x.any() else b.copy()
+    r = b - A @ x if x.any() else b.copy()
     z = np.empty_like(r)
     scratch = np.empty_like(r)
     p = None
@@ -95,7 +75,7 @@ def _jacobi_cg(A, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int,
         else:
             p *= rho / rho_prev
             p += z
-        q = matvec(A, p)
+        q = A @ p
         alpha = rho / np.dot(p, q)
         np.multiply(alpha, p, out=scratch)
         x += scratch
@@ -139,9 +119,10 @@ def solve_spd(
         On mismatched shapes, a factor of another shape, a non-positive
         diagonal (PCG only), or a ``tol`` that is not finite and > 0.
     LinearSolveError
-        If ``||b||`` is not finite, before any solve step (the report then has
-        0 iterations and a NaN residual), or if the verified residual still
-        exceeds ``tol`` or is NaN.
+        If the verified residual still exceeds ``tol``. It is a
+        :class:`LinearSolveRangeError` if ``||b||`` is not finite, raised
+        before any solve step (the report then has 0 iterations and a NaN
+        residual), or if the verified residual is not finite.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
@@ -151,16 +132,15 @@ def solve_spd(
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     method = "pcg" if factor is None else "direct"
-    t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
     if not math.isfinite(bnorm):        # NaN or inf in b, or ||b|| overflows
-        raise LinearSolveError(f"right-hand side norm is {bnorm}, not finite",
-                               SpdSolveReport(method, 0, math.nan, time.perf_counter() - t0))
+        raise LinearSolveRangeError(f"right-hand side norm is {bnorm}, not finite",
+                                    SpdSolveReport(method, 0, math.nan))
     if bnorm == 0.0:
-        return np.zeros(n), SpdSolveReport(method, 0, 0.0, time.perf_counter() - t0)
+        return np.zeros(n), SpdSolveReport(method, 0, 0.0)
 
     def verified(x):
-        return float(np.linalg.norm(matvec(A, x) - b)) / bnorm
+        return float(np.linalg.norm(A @ x - b)) / bnorm
 
     if factor is not None:
         x = factor.solve(b)
@@ -179,10 +159,8 @@ def solve_spd(
             if rel <= tol:
                 break
 
-    report = SpdSolveReport(method, iterations, rel, time.perf_counter() - t0)
-    if not rel <= tol:          # also catches a NaN residual
-        raise LinearSolveError(
-            f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})",
-            report,
-        )
+    report = SpdSolveReport(method, iterations, rel)
+    if not rel <= tol:      # a residual that is not finite: the solve overflowed
+        error = LinearSolveError if math.isfinite(rel) else LinearSolveRangeError
+        raise error(f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})", report)
     return x, report

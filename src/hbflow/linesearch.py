@@ -17,6 +17,7 @@ the give-up limits ``MIN_STEP`` and ``MAX_BACKTRACKS`` are fixed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -28,7 +29,7 @@ MAX_BACKTRACKS = 30     # give up after this many rejected backtracks
 
 
 class LineSearchError(RuntimeError):
-    """Misuse (non-descent direction, coincident trial points) or NaN phi."""
+    """Misuse (a slope that is not finite and < 0, coincident trial points) or NaN phi."""
 
 
 @dataclass
@@ -41,15 +42,19 @@ class LineSearchResult:
     trials: list = field(default_factory=list)   # every alpha tried, in order
 
 
+def _check_slope(dphi0: float) -> None:
+    if not -np.inf < dphi0 < 0.0:       # false for a NaN too
+        raise LineSearchError(f"dphi0 must be finite and < 0 (a descent direction), got {dphi0}")
+
+
 def quadratic_step(phi0: float, dphi0: float, phi1: float) -> float:
     """First-backtrack step from the quadratic model, clamped to [0.1, 0.5].
 
-    Requires a descent slope dphi0 < 0 and a rejected unit step, i.e.
+    Requires a finite descent slope dphi0 < 0 and a rejected unit step, i.e.
     phi1 > phi0 + sigma1 * dphi0 for some sigma1 < 1. An infinite phi1
     makes the model infinitely steep, so the step is the floor.
     """
-    if dphi0 >= 0.0:
-        raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
+    _check_slope(dphi0)
     if np.isinf(phi1):
         return 0.1
     denom = phi1 - phi0 - dphi0
@@ -73,12 +78,12 @@ def cubic_step(
     The model c a^3 + d a^2 + dphi0 a + phi0 interpolates the two most recent
     trials. It is degenerate when c or d is not finite (overflow in the
     sampled phi values), when |c| < 1e-14 (the cubic collapsed to a
-    quadratic) or when the discriminant is negative. With sigma1 < 1/4 the
+    quadratic), when the discriminant is negative, and when it or the
+    minimizer is NaN (inf - inf, inf / inf). With sigma1 < 1/4 the
     discriminant is nonnegative for consistent inputs, so these cases are
     roundoff or overflow artifacts, and the step falls back to 0.5 * alpha_p.
     """
-    if dphi0 >= 0.0:
-        raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
+    _check_slope(dphi0)
     if alpha_p == alpha_2p:
         raise LineSearchError("cubic model needs distinct trial points")
     r_p = phi_p - phi0 - dphi0 * alpha_p
@@ -86,13 +91,13 @@ def cubic_step(
     s = 1.0 / (alpha_p - alpha_2p)
     c = float(s * (r_p / alpha_p**2 - r_2p / alpha_2p**2))
     d = float(s * (-alpha_2p * r_p / alpha_p**2 + alpha_p * r_2p / alpha_2p**2))
-    # tested ahead of the discriminant, so no overflow reaches numpy's arithmetic
     if not (np.isfinite(c) and np.isfinite(d)) or abs(c) < 1e-14:
         return 0.5 * alpha_p
+    # Python floats, which overflow without a warning: inf - inf and inf / inf give NaN
     disc = d * d - 3.0 * c * dphi0
-    if disc < 0.0:
+    raw = (-d + math.sqrt(disc)) / (3.0 * c) if disc >= 0.0 else math.nan
+    if math.isnan(raw):
         return 0.5 * alpha_p
-    raw = (-d + np.sqrt(disc)) / (3.0 * c)
     return float(min(max(raw, 0.1 * alpha_p), 0.5 * alpha_p))
 
 
@@ -111,12 +116,11 @@ def backtracking_search(
         +inf for overflowing trial states (treated as a rejection); NaN
         raises :class:`LineSearchError`.
     phi0, dphi0 : float
-        phi(0) and the directional derivative phi'(0), dphi0 < 0.
+        phi(0) and the directional derivative phi'(0), finite and < 0.
     sigma1 : float
         Armijo slope fraction in (0, 1/4), as ``SolverConfig`` checks it.
     """
-    if dphi0 >= 0.0:
-        raise LineSearchError(f"not a descent direction: dphi0={dphi0}")
+    _check_slope(dphi0)
 
     def evaluate(a: float) -> float:
         v = float(phi(a))

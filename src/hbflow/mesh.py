@@ -118,8 +118,9 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     ------
     MeshError
         If any triangle has non-positive area (wrong orientation or
-        degenerate geometry), an edge lies on more than two triangles, or
-        the arrays have inconsistent shapes.
+        degenerate geometry), an edge lies on more than two triangles or
+        has two on one side (a fold or a repeated triangle), or the arrays
+        have inconsistent shapes.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
@@ -132,13 +133,19 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
 
     # the edge table is freed before the geometry arrays exist, so the two
     # never share one peak and leave fewer holes in the allocator's heap
-    edges, _, counts = _edges(triangles)
+    edges, side_edge, counts = _edges(triangles)
     if np.any(counts > 2):
         bad = int(np.argmax(counts))
         raise MeshError(f"edge {tuple(edges[bad].tolist())} lies on {counts[bad]} triangles")
+    # triangles on the two sides of an edge run it both ways: their sides start at its two ends
+    starts = np.bincount(side_edge.ravel(), weights=triangles.ravel(), minlength=len(counts))
+    one_side = (counts == 2) & (starts != edges[:, 0] + edges[:, 1])
+    if np.any(one_side):
+        bad = int(np.argmax(one_side))
+        raise MeshError(f"edge {tuple(edges[bad].tolist())} has both its triangles on one side")
     boundary_vertex = np.zeros(len(vertices), dtype=bool)
     boundary_vertex[edges[counts == 1]] = True
-    del edges, _, counts
+    del edges, side_edge, counts, starts, one_side
 
     x0, x1, x2 = vertices[:, 0][triangles.T]
     y0, y1, y2 = vertices[:, 1][triangles.T]

@@ -40,7 +40,7 @@ from .assembly import (
     gradient_magnitudes,
 )
 from .huber import DualField, HuberParams, dual_field, evaluate_gradient, evaluate_objective
-from .linalg import factorize_spd, matvec, solve_spd
+from .linalg import factorize_spd, solve_spd
 from .linesearch import backtracking_search
 from .mesh import Mesh
 
@@ -241,7 +241,7 @@ def solve(
     for k in range(1, config.max_iters + 1):
         w, P = problem.descent_direction(xi, params, grad)
         dphi0 = float(grad @ w)
-        quad = float(w @ matvec(P, w))
+        quad = float(w @ (P @ w))
         identity_err = abs(dphi0 + quad) / max(abs(dphi0), np.finfo(float).tiny)
 
         trial = []      # the latest trial point and its xi; an accepted search ends on it

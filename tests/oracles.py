@@ -19,7 +19,7 @@ memory, the Jacobi-PCG solve through scipy's ``cg``, and the line search's
 two model steps with the three helpers they were split into.
 """
 
-import time
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -347,10 +347,9 @@ def scipy_jacobi_pcg(A, b, tol=1e-10):
     """``solve_spd(A, b, tol)`` without a factor, as it was written on scipy's ``cg``."""
     n = A.shape[0]
     method = "pcg"
-    t0 = time.perf_counter()
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SpdSolveReport(method, 0, 0.0, time.perf_counter() - t0)
+        return np.zeros(n), SpdSolveReport(method, 0, 0.0)
 
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -372,7 +371,7 @@ def scipy_jacobi_pcg(A, b, tol=1e-10):
     iterations = count
 
     rel = float(np.linalg.norm(A @ x - b)) / bnorm
-    report = SpdSolveReport(method, iterations, rel, time.perf_counter() - t0)
+    report = SpdSolveReport(method, iterations, rel)
     if not rel <= tol:          # also catches a NaN residual
         raise LinearSolveError(
             f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})",
@@ -439,9 +438,10 @@ def _cubic_minimizer(c: float, d: float, dphi0: float) -> float | None:
     if abs(c) < 1e-14:
         return None
     disc = d * d - 3.0 * c * dphi0
-    if disc < 0.0:
+    if not disc >= 0.0:     # a NaN from inf - inf is an overflow artifact too
         return None
-    return (-d + np.sqrt(disc)) / (3.0 * c)
+    raw = (-d + math.sqrt(disc)) / (3.0 * c)
+    return None if math.isnan(raw) else raw     # and so is inf / inf
 
 
 def cubic_step(

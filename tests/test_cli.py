@@ -25,7 +25,7 @@ from hbflow.cli import (
     parse_config_file,
 )
 from hbflow.export import CSV_HEADER
-from hbflow.linalg import LinearSolveError
+from hbflow.linalg import LinearSolveError, LinearSolveRangeError
 from hbflow.linesearch import LineSearchError
 from hbflow.solver import SolverConfig
 
@@ -180,17 +180,28 @@ def test_unwritable_output_is_io_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_linear_solve_overflow_is_config_error(tmp_path, capsys):
+    # load and start gradient are finite, but the first descent solve's CG
+    # overflows in its dot products; the same exit code as an overflowing load
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", "--p", "1.1", "--f", "1e40",
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: pcg stalled at relative residual nan (target 1.0e-10)\n")
+    assert not out.exists()
+
+
 def test_numeric_warnings_stay_off_stderr(tmp_path):
     # pytest captures warnings in-process, so only a child process shows them;
-    # load and start gradient are finite, but the first descent solve's CG
-    # overflows in its dot products and stalls at a nan residual
+    # the CG's dot products overflow, with a RuntimeWarning, before the run fails
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     argv = [sys.executable, "-m", "hbflow.cli", "run", "--domain", "square", "--n", "6",
             "--p", "1.1", "--f", "1e40", "--out", str(tmp_path / "out")]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("solver failure: pcg stalled at relative residual nan")
-    assert proc.stderr.count("\n") == 1
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "configuration error: pcg stalled at relative residual nan (target 1.0e-10)\n")
 
 
 def test_out_of_memory_is_config_error(tmp_path, capsys, monkeypatch):
@@ -363,6 +374,38 @@ def test_run_error_names_the_failure_that_ended_the_ladder(tmp_path, capsys):
     assert summary["error"] == "line search failed at iteration 3: step-too-small"
 
 
+def test_run_that_overflows_the_cubic_model_ends_its_line_search(tmp_path, capsys):
+    # epsilon = 1e300 flattens the preconditioner: the first backtrack's cubic
+    # discriminant is inf - inf, and the search halves instead of trying a NaN step
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", "--p", "1.5", "--epsilon", "1e300",
+            "--max-iters", "3", "--out", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == ""
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["error"] == "line search failed at iteration 1: step-too-small"
+
+
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
+def test_summary_is_strict_json(tmp_path, capsys):
+    # every entry of u is finite, but the plain sum of squares overflows
+    out = tmp_path / "out"
+    argv = ["run", "--domain", "square", "--n", "6", "--p", "1.1", "--f", "1e20",
+            "--out", str(out)]
+    assert main(argv) == 1
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
+    assert summary["u_euclidean_norm"] == pytest.approx(1.988480054909939e193, rel=1e-12)
+
+
+def test_euclidean_norm_scales_only_where_the_plain_norm_overflows(rng):
+    u = rng.standard_normal(50)
+    assert hbflow.cli._euclidean_norm(u).hex() == float(np.linalg.norm(u)).hex()
+    assert hbflow.cli._euclidean_norm(np.array([3e300, -4e300])) == pytest.approx(5e300)
+
+
 def test_sweep_aggregates(tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main([
@@ -411,11 +454,13 @@ def test_sweep_exits_with_the_largest_point_code(tmp_path, capsys, n_list, max_i
 
 @pytest.mark.parametrize("point_failure, code", [
     (LinearSolveError("pcg stalled", None), 1),
+    (LinearSolveRangeError("pcg stalled at relative residual nan", None), 2),
     (LineSearchError("no descent"), 1),
     (ConfigError("bad point"), 2),
     (MemoryError("Unable to allocate 3.0 TiB"), 2),
     (OSError("disk full"), 3),
-], ids=["linear-solve", "line-search", "config", "out-of-memory", "io"])
+], ids=["linear-solve", "linear-solve-overflow", "line-search", "config", "out-of-memory",
+        "io"])
 def test_sweep_point_exceptions_map_to_run_codes(tmp_path, capsys, monkeypatch,
                                                  point_failure, code):
     def single(manifest):

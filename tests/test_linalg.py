@@ -5,37 +5,13 @@ import scipy.sparse as sp
 import hbflow.linalg
 
 from hbflow.assembly import assemble_weighted_stiffness, build_discrete_gradient
-from hbflow.linalg import LinearSolveError, factorize_spd, matvec, solve_spd
+from hbflow.linalg import LinearSolveError, LinearSolveRangeError, factorize_spd, solve_spd
 import oracles
 
 
 def poisson_matrix(mesh):
     return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]),
                                        gradient=build_discrete_gradient(mesh))
-
-
-def _same_bits(got, want):
-    return (type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
-            and np.array_equal(got.view(np.int64), want.view(np.int64)))
-
-
-@pytest.mark.parametrize("case", ["gradient", "stiffness", "integer-x", "strided-x",
-                                  "csc", "column-x"])
-def test_matvec_has_the_bits_of_the_sparse_product(disk3, rng, case):
-    G = build_discrete_gradient(disk3)
-    A = G if case == "gradient" else poisson_matrix(disk3)
-    x = rng.standard_normal(A.shape[1])
-    x[rng.random(x.size) < 0.2] = 0.0
-    if case == "integer-x":
-        x = rng.integers(-5, 6, A.shape[1])
-    elif case == "strided-x":
-        x = rng.standard_normal(2 * A.shape[1])[::2]
-        assert not x.flags.c_contiguous
-    elif case == "csc":
-        A = A.tocsc()
-    elif case == "column-x":
-        x = x[:, None]
-    assert _same_bits(matvec(A, x), A @ x)
 
 
 def factor_for(method, A):
@@ -126,7 +102,7 @@ def test_solve_nan_residual_raises(square4, no_cg, method):
     nan, inf = np.zeros(n), np.ones(n)
     nan[1], inf[2] = np.nan, -np.inf
     for b in (np.full(n, 8e219), nan, inf):
-        with pytest.raises(LinearSolveError, match="not finite") as exc:
+        with pytest.raises(LinearSolveRangeError, match="not finite") as exc:
             solve_spd(A, b, factor=factor)
         report = exc.value.report
         assert (report.method, report.iterations) == (method, 0)

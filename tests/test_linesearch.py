@@ -70,6 +70,30 @@ def test_cubic_step_degenerate_falls_back_to_halving():
         cubic_step(0.0, -1.0, 0.5, 1.0, 0.5, 1.0)  # coincident trials
 
 
+def test_cubic_step_nan_discriminant_falls_back_to_halving():
+    # d*d and 3*c*dphi0 both overflow, so the discriminant is inf - inf = nan
+    step = cubic_step(0.04903161584292654, -1.7733050955042326e+149, 0.1,
+                      5.640638686167832e+222, 1.0, 1.783726570635005e+224)
+    assert step == 0.05
+
+
+def test_cubic_step_nan_minimizer_falls_back_to_halving():
+    # c and d are finite, but d*d and 3*c overflow: the minimizer is inf / inf = nan
+    alpha_p = 6.103515625e-05
+    assert cubic_step(0.0, -1.0, alpha_p, -1.1160185497872308e+299, 0.5, 0.0) == 0.5 * alpha_p
+
+
+@pytest.mark.parametrize("dphi0", [-np.inf, np.nan])
+def test_a_slope_that_is_not_finite_is_misuse(dphi0):
+    match = f"^dphi0 must be finite and < 0 \\(a descent direction\\), got {dphi0}$"
+    with pytest.raises(LineSearchError, match=match):
+        quadratic_step(0.0, dphi0, 1.0)
+    with pytest.raises(LineSearchError, match=match):
+        cubic_step(0.0, dphi0, 0.5, 1.0, 1.0, 1.0)
+    with pytest.raises(LineSearchError, match=match):
+        backtracking_search(lambda a: 1.0, phi0=0.0, dphi0=dphi0, sigma1=1e-4)
+
+
 SLOPES = st.floats(min_value=-1e6, max_value=-1e-12)
 STEPS = st.floats(min_value=MIN_STEP, max_value=1.0)
 FINITE_PHIS = st.floats(min_value=-1e300, max_value=1e300)
@@ -126,6 +150,9 @@ def cubic_inputs(draw):
 @example(args=(0.0, -1.0, 0.5, np.inf, 1.0, 0.0))      # non-finite c and d
 @example(args=(0.0, -1.0, 1.0, 0.0, 0.5, -0.25))       # c = 0
 @example(args=(0.0, -1.0, 0.5, -0.625, 1.0, -2.0))     # (c, d) = (-1, 0): disc = -3
+@example(args=(0.04903161584292654, -1.7733050955042326e+149, 0.1,
+               5.640638686167832e+222, 1.0, 1.783726570635005e+224))   # disc = inf - inf
+@example(args=(0.0, -1.0, 6.103515625e-05, -1.1160185497872308e+299, 0.5, 0.0))   # inf / inf
 def test_cubic_step_matches_its_split_oracle(args):
     assert bits(cubic_step, *args) == bits(oracles.cubic_step, *args)
 

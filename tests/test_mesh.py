@@ -193,6 +193,11 @@ def test_make_mesh_rejects_bad_input():
     fan = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.5], [0.5, 2.0]])
     with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies on 3 triangles$"):
         make_mesh(fan, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))   # non-manifold
+    one_side = r"^edge \(0, 1\) has both its triangles on one side$"
+    with pytest.raises(MeshError, match=one_side):
+        make_mesh(verts, np.array([[0, 1, 2], [0, 1, 2]]))          # a triangle listed twice
+    with pytest.raises(MeshError, match=one_side):
+        make_mesh(fan[:4], np.array([[0, 1, 2], [0, 1, 3]]))        # a fold
 
 
 def test_boundary_flags_from_edge_counts():
