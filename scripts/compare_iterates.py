@@ -4,16 +4,17 @@
 
 Runs each workload's solve (the names in B's ``BENCHMARK.json``, or only
 NAME) from checkout A and from checkout B. Each run is a fresh Python
-process that imports ``hbflow`` from that checkout's ``src/`` and the
-workload from its ``benchmarks/workloads.py``, with one BLAS thread as in the
-benchmark, bytecode writing off and a scratch working directory, so
-neither checkout is written to. Every history row, every line-search trial
-step and the final u are compared as float hex, stage by stage, with
-objective0, grad0_norm, converged and failure_reason. Prints one line per
-difference and, for a workload that differs, one more with the relative
-drift of its final J and ||u||, the two values the benchmark checks against
-its references. Exits 0 when there is no difference, 1 otherwise, and 2 on
-a usage error or a run that fails.
+process that builds the mesh and solves the workload of the checkout's
+``benchmarks/workloads.py`` with its ``benchmarks/child.py``, the code the
+benchmark times, on ``hbflow`` from its ``src/``. It runs with one BLAS
+thread as in the benchmark, bytecode writing off and a scratch working
+directory, so neither checkout is written to. Every history row, every
+line-search trial step and the final u are compared as float hex, stage by
+stage, with objective0, grad0_norm, converged and failure_reason. Prints
+one line per difference and, for a workload that differs, one more with the
+relative drift of its final J and ||u||, the two values the benchmark checks
+against its references. Exits 0 when there is no difference, 1 otherwise,
+and 2 on a usage error or a run that fails.
 """
 
 from __future__ import annotations
@@ -34,21 +35,12 @@ CHILD = r"""
 import dataclasses, json, sys
 import numpy as np
 root, name = sys.argv[1], sys.argv[2]
-sys.path[:0] = [root + "/src", root + "/benchmarks"]
-from hbflow import mesh, solver
+sys.path.insert(0, root + "/benchmarks")
+import child     # puts root + "/src" first on sys.path
 from workloads import WORKLOADS
 
-w = WORKLOADS[name]
-build = mesh.build_unit_disk_mesh if w.domain == "disk" else mesh.build_unit_square_mesh
-m = build(w.size)
-config = solver.SolverConfig(p=w.p, g=w.g, gamma=w.gamma, epsilon=w.epsilon,
-                             max_iters=w.max_iters,
-                             linear=solver.LinearConfig(method=w.linear_method))
-if w.continuation:
-    stages = solver.continuation_solve(m, config, w.f, gamma_start=w.gamma_start,
-                                       gamma_end=w.gamma_end)
-else:
-    stages = [(w.gamma, solver.solve(m, config, w.f))]
+spec = dataclasses.asdict(WORKLOADS[name])
+stages = child._solve(child._build_mesh(spec), spec)
 
 
 def h(v):

@@ -37,8 +37,8 @@ from .solver import (
     GAMMA_START,
     SolveOutcome,
     SolverConfig,
-    _wp_seminorm,
     continuation_solve,
+    wp_seminorm,
 )
 
 
@@ -230,7 +230,7 @@ def _write_outputs(outdir: Path, manifest: RunManifest, mesh: Mesh,
         "final_objective": final.final_objective,
         "final_rel_residual": final.final_rel_residual,
         "u_euclidean_norm": _euclidean_norm(final.u),
-        "wp_seminorm": _wp_seminorm(mesh, final.dual.xi, manifest.p),
+        "wp_seminorm": wp_seminorm(mesh, final.dual.xi, manifest.p),
         "stages": [_stage_summary(gamma, outcome) for gamma, outcome in stages],
         "error": error,
         "wall_time_seconds": wall_time,

@@ -55,12 +55,14 @@ class HuberParams:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.p <= 1.0:
             raise ValueError(f"p must be > 1, got {self.p}")
-        if self.g <= 0.0:
-            raise ValueError(f"g must be > 0, got {self.g}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        for name in ("g", "gamma", "epsilon"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        with np.errstate(over="ignore"):    # the largest weight of each law, at xi = 0
+            if not np.isfinite(self.g * self.gamma):
+                raise ValueError(f"g * gamma overflows: g={self.g}, gamma={self.gamma}")
+            if self.p < 2.0 and not np.isfinite(np.power(self.epsilon, self.p - 2.0)):
+                raise ValueError(f"epsilon^(p-2) overflows: epsilon={self.epsilon}, p={self.p}")
 
     def psi(self, xi: np.ndarray) -> np.ndarray:
         """Huber function psi_gamma of the gradient magnitude xi."""

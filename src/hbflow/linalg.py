@@ -10,9 +10,9 @@ before returning.
 
 The CG loop, :func:`_jacobi_cg`, is this module's own: it takes the steps of
 scipy 1.17.1's ``scipy.sparse.linalg.cg`` with a diagonal preconditioner in
-the same order, one floating-point operation for another, so its iterates
-are scipy's bit for bit. It uses no fused multiply-add (BLAS ``axpy``),
-because that rounds once where scipy rounds twice.
+the same order, one floating-point operation for another, so its x, step
+count and residual are scipy's bit for bit. It uses no fused multiply-add
+(BLAS ``axpy``), because that rounds once where scipy rounds twice.
 """
 
 from __future__ import annotations
@@ -55,9 +55,10 @@ def _jacobi_cg(A, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int,
 
     Stops before the first step whose residual recurrence r has
     ||r|| < ``atol``, or after ``maxiter`` steps, and returns the number of
-    completed steps. Every operation is the one scipy's ``cg`` performs with
-    ``M = diags(inv_diag)``, in the same order: its preconditioner adds the
-    product into zeros, so ``z += 0.0`` turns -0.0 into +0.0 as it does.
+    completed steps. It is scipy's ``cg`` with ``M = diags(inv_diag)``, step for
+    step, except that z may keep a -0.0 that scipy's add into zeros makes +0.0.
+    No sum carries that sign into x or r: each starts from +0.0, and x, started
+    from zeros, never holds -0.0.
     """
     r = b - A @ x if x.any() else b.copy()
     z = np.empty_like(r)
@@ -68,7 +69,6 @@ def _jacobi_cg(A, b: np.ndarray, x: np.ndarray, atol: float, maxiter: int,
         if math.sqrt(r.dot(r)) < atol:      # the value of np.linalg.norm(r)
             return step
         np.multiply(inv_diag, r, out=z)
-        z += 0.0
         rho = np.dot(r, z)
         if p is None:
             p = z.copy()

@@ -18,7 +18,7 @@ the give-up limits ``MIN_STEP`` and ``MAX_BACKTRACKS`` are fixed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -36,10 +36,14 @@ class LineSearchError(RuntimeError):
 class LineSearchResult:
     alpha: float                  # accepted (or last attempted) step
     phi: float                    # phi at that step
-    evaluations: int              # number of phi evaluations
     backtracks: int               # rejected trials; what history CSVs report as ls_iters
     status: str                   # "accepted" | "step-too-small"
-    trials: list = field(default_factory=list)   # every alpha tried, in order
+    trials: list[float]           # every alpha tried, in order
+
+    @property
+    def evaluations(self) -> int:
+        """Number of phi evaluations, one per trial."""
+        return len(self.trials)
 
 
 def _check_slope(dphi0: float) -> None:
@@ -128,26 +132,22 @@ def backtracking_search(
             raise LineSearchError(f"phi({a}) evaluated to NaN")
         return v
 
-    def armijo(a: float, v: float) -> bool:
-        return v <= phi0 + sigma1 * a * dphi0
-
     alpha = 1.0
     val = evaluate(alpha)
     trials = [alpha]
     prev: tuple[float, float] | None = None  # the trial before the most recent one
 
-    while not armijo(alpha, val):
+    while not val <= phi0 + sigma1 * alpha * dphi0:     # Armijo
         if prev is None:
             new_alpha = quadratic_step(phi0, dphi0, val)
         else:
             new_alpha = cubic_step(phi0, dphi0, alpha, val, *prev)
         # all len(trials) trials were rejected, len(trials) - 1 of them backtracks
         if len(trials) > MAX_BACKTRACKS or new_alpha < MIN_STEP:
-            return LineSearchResult(alpha, val, len(trials), len(trials),
-                                    "step-too-small", trials)
+            return LineSearchResult(alpha, val, len(trials), "step-too-small", trials)
         prev = (alpha, val)
         alpha = new_alpha
         val = evaluate(alpha)
         trials.append(alpha)
 
-    return LineSearchResult(alpha, val, len(trials), len(trials) - 1, "accepted", trials)
+    return LineSearchResult(alpha, val, len(trials) - 1, "accepted", trials)

@@ -314,11 +314,7 @@ def continuation_solve(
     return stages
 
 
-def wp_seminorm(mesh: Mesh, gradient: sp.spmatrix, u: np.ndarray, p: float) -> float:
-    """Discrete W^{1,p} seminorm (sum of area * xi^p)^(1/p)."""
-    return _wp_seminorm(mesh, gradient_magnitudes(gradient, u), p)
-
-
-def _wp_seminorm(mesh: Mesh, xi: np.ndarray, p: float) -> float:
-    """The W^{1,p} seminorm from the per-triangle magnitudes xi = |grad u|."""
+def wp_seminorm(mesh: Mesh, xi: np.ndarray, p: float) -> float:
+    """Discrete W^{1,p} seminorm (sum of area * xi^p)^(1/p), from the
+    per-triangle magnitudes xi = |grad u| (``gradient_magnitudes(G, u)``)."""
     return float(np.sum(mesh.areas * xi**p) ** (1.0 / p))

@@ -171,6 +171,26 @@ def test_start_overflow_is_config_error(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    # g * gamma = 1e309 is the Huber weight below the threshold
+    pytest.param(["--n", "4", "--p", "1.5", "--g", "1e306", "--gamma", "1e3"],
+                 "g * gamma overflows: g=1e+306, gamma=1000.0", id="huber-weight"),
+    # epsilon^(p-2) ~ 1e309 is the preconditioner weight where xi = 0
+    pytest.param(["--n", "4", "--p", "1.01", "--epsilon", "1e-312"],
+                 "epsilon^(p-2) overflows: epsilon=1e-312, p=1.01",
+                 id="preconditioner-weight"),
+    # on this mesh the same law used to end in a stalled PCG (exit 1)
+    pytest.param(["--domain", "disk", "--level", "2", "--p", "1.01", "--epsilon", "1e-312"],
+                 "epsilon^(p-2) overflows: epsilon=1e-312, p=1.01",
+                 id="preconditioner-weight-disk"),
+])
+def test_law_whose_weights_overflow_is_config_error(tmp_path, capsys, flags, message):
+    out = tmp_path / "out"
+    assert main(["run", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_unwritable_output_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

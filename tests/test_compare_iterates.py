@@ -22,8 +22,8 @@ def test_compare_iterates_flags_a_changed_sigma1_default(tmp_path):
     copy = tmp_path / "copy"
     shutil.copytree(ROOT / "src", copy / "src",
                     ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
-    (copy / "benchmarks").mkdir()
-    shutil.copy(ROOT / "benchmarks" / "workloads.py", copy / "benchmarks")
+    shutil.copytree(ROOT / "benchmarks", copy / "benchmarks",
+                    ignore=shutil.ignore_patterns("__pycache__", "out"))
     solver = copy / "src" / "hbflow" / "solver.py"
     text = solver.read_text()
     assert text.count("sigma1: float = 1e-4 ") == 1

@@ -22,6 +22,18 @@ def test_params_validation():
         HuberParams(p=1.5, g=0.2, gamma=-1.0)
     with pytest.raises(ValueError):
         HuberParams(p=1.5, g=0.2, gamma=100.0, epsilon=0.0)
+    # the largest weights, g * gamma and, for p < 2, epsilon^(p-2), must be finite
+    with pytest.raises(ValueError, match=r"g \* gamma overflows: g=1e\+306, gamma=1000"):
+        HuberParams(p=1.5, g=1e306, gamma=1e3)
+    with pytest.raises(ValueError, match=r"epsilon\^\(p-2\) overflows: epsilon=1e-312, p=1.01"):
+        HuberParams(p=1.01, g=0.2, gamma=1e3, epsilon=1e-312)
+    # weights near the float64 limit are accepted
+    params = HuberParams(p=1.5, g=1e305, gamma=1e3, epsilon=1e-300)
+    assert np.isfinite(params.huber_weight(np.zeros(1))).all()
+    assert np.isfinite(params.preconditioner_weight(np.zeros(1))).all()
+    # p >= 2 never uses the epsilon weight, so any epsilon > 0 goes
+    HuberParams(p=2.0, g=0.2, gamma=1e3, epsilon=1e-312)
+    HuberParams(p=4.0, g=0.2, gamma=1e3, epsilon=1e300)
 
 
 def test_params_frozen():
