@@ -13,8 +13,9 @@ of the constitutive law are methods of ``huber.HuberParams``):
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
 which is G^T D G, D = diag(w * area, w * area), computed from a plan built
-once per G that lives as long as G. The plan holds the G values of each
-entry's terms as a constant sparse term matrix, so the entries are two runs
+once per G that lives as long as G, whose arrays are then read-only so the
+plan cannot go stale. The plan holds the G values of each entry's terms as
+a constant sparse term matrix, so the entries are two runs
 of scipy's CSR matrix-vector kernel, on the x terms and then the y terms,
 into one zeroed array. The kernel starts each row from the array's value
 and adds each term as one product, so every entry is summed in the order
@@ -47,6 +48,7 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     Returns
     -------
     csr_matrix, shape (2 nt, num_interior)
+        With read-only ``data``, ``indices`` and ``indptr``.
     """
     nt = mesh.num_triangles
     ncols = mesh.num_interior
@@ -65,7 +67,14 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     vals = np.concatenate([gx, gy])
     G = sp.coo_matrix((vals, (rows, cols2)), shape=(2 * nt, ncols)).tocsr()
     G.sort_indices()
-    return G
+    return _freeze(G)
+
+
+def _freeze(gradient: sp.csr_matrix) -> sp.csr_matrix:
+    """G with its arrays read-only, as every Mesh array is: a plan copies G's values."""
+    for arr in (gradient.data, gradient.indices, gradient.indptr):
+        arr.setflags(write=False)
+    return gradient
 
 
 def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
@@ -209,6 +218,7 @@ def _stiffness_pattern(gradient: sp.csr_matrix) -> _StiffnessPattern:
     # kept on G itself, so the plan lives exactly as long as G
     if not hasattr(gradient, "_hbflow_stiffness_pattern"):
         gradient._hbflow_stiffness_pattern = _StiffnessPattern(gradient)
+        _freeze(gradient)       # the plan holds copies of G's values
     return gradient._hbflow_stiffness_pattern
 
 

@@ -80,23 +80,22 @@ PRESETS: dict[str, dict] = {
 # each domain's resolution field and mesh builder
 _DOMAINS = {"square": ("n", build_unit_square_mesh), "disk": ("level", build_unit_disk_mesh)}
 _FIELD_NAMES = frozenset(f.name for f in dataclasses.fields(RunManifest))
-_BOOL_TRUE = {"1", "true", "yes", "on"}
-_BOOL_FALSE = {"0", "false", "no", "off"}
+_BOOLEANS = (dict.fromkeys(("1", "true", "yes", "on"), True)
+             | dict.fromkeys(("0", "false", "no", "off"), False))
+# each key's parser and what its values must be; keys not listed are numbers
+_PARSERS = {"domain": (str, "text"), "out": (str, "text"), "n": (int, "an integer"),
+            "level": (int, "an integer"), "max_iters": (int, "an integer"),
+            "continuation": (lambda raw: _BOOLEANS[raw.strip().lower()], "a boolean")}
 
 
 def _coerce(name: str, raw: str):
-    if name in ("n", "level", "max_iters"):
-        return int(raw)
-    if name == "continuation":
-        low = raw.strip().lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"cannot parse boolean {name}={raw!r}")
-    if name in ("domain", "out"):
-        return raw
-    return float(raw)
+    """The value of key ``name`` from its text: the one parser of config
+    lines, flags and sweep lists."""
+    parse, kind = _PARSERS.get(name, (float, "a number"))
+    try:
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name} must be {kind}, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -120,9 +119,7 @@ def parse_config_file(path) -> dict:
                               "use --preset")
         try:
             values[key] = _coerce(key, raw)
-        except ConfigError:
-            raise
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
@@ -138,7 +135,7 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
     if getattr(args, "config", None) is not None:
         manifest = dataclasses.replace(manifest, **parse_config_file(args.config))
     explicit = {
-        name: value
+        name: _coerce(name, value)
         for name, value in vars(args).items()
         if name in _FIELD_NAMES and name != "preset" and value is not None
     }
@@ -344,18 +341,19 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
 
 
 def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--domain", choices=list(_DOMAINS))
-    sub.add_argument("--n", type=int, help="square subdivisions per side")
-    sub.add_argument("--level", type=int, help="disk refinement level")
-    sub.add_argument("--p", type=float, help="flow index, > 1")
-    sub.add_argument("--g", type=float, help="plasticity threshold")
-    sub.add_argument("--gamma", type=float, help="Huber regularization parameter")
-    sub.add_argument("--epsilon", type=float, help="preconditioner shift, p < 2 only")
-    sub.add_argument("--f", type=float, help="constant right-hand side")
-    sub.add_argument("--tol", type=float, help="relative residual stopping tolerance")
-    sub.add_argument("--max-iters", dest="max_iters", type=int)
-    sub.add_argument("--sigma1", type=float, help="Armijo slope fraction")
-    sub.add_argument("--continuation", action="store_const", const=True, default=None,
+    # values stay text here: build_manifest parses them as config-file values
+    sub.add_argument("--domain", help=" or ".join(_DOMAINS))
+    sub.add_argument("--n", help="square subdivisions per side")
+    sub.add_argument("--level", help="disk refinement level")
+    sub.add_argument("--p", help="flow index, > 1")
+    sub.add_argument("--g", help="plasticity threshold")
+    sub.add_argument("--gamma", help="Huber regularization parameter")
+    sub.add_argument("--epsilon", help="preconditioner shift, p < 2 only")
+    sub.add_argument("--f", help="constant right-hand side")
+    sub.add_argument("--tol", help="relative residual stopping tolerance")
+    sub.add_argument("--max-iters", dest="max_iters")
+    sub.add_argument("--sigma1", help="Armijo slope fraction")
+    sub.add_argument("--continuation", action="store_const", const="true",
                      help=f"solve over the gamma ladder {GAMMA_START:g}..--gamma, "
                           f"x{GAMMA_FACTOR:g} per stage, with warm starts")
     sub.add_argument("--out", help="output directory")
@@ -363,8 +361,15 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="key=value file, overridden by explicit flags")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, one line, instead of exiting."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hbflow",
         description="P1 finite element solver for Herschel-Bulkley pipe flow",
     )
@@ -382,13 +387,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
         # numpy/scipy overflow warnings would add lines to stderr; the exit
         # code and the one message below already report such a failure
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
+            args = make_parser().parse_args(argv)
             manifest = build_manifest(args)
             if args.command == "run":
                 code, summary = run_single(manifest)

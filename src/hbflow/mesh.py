@@ -117,15 +117,18 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     Raises
     ------
     MeshError
-        If any triangle has non-positive area (wrong orientation or
-        degenerate geometry), an edge lies on more than two triangles or
-        has two on one side (a fold or a repeated triangle), or the arrays
-        have inconsistent shapes.
+        If a vertex coordinate is not finite, any triangle has non-positive
+        area (wrong orientation or degenerate geometry), an edge lies on
+        more than two triangles or has two on one side (a fold or a repeated
+        triangle), or the arrays have inconsistent shapes.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
     triangles = np.ascontiguousarray(triangles, dtype=np.int64)
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError(f"vertices must have shape (nv, 2), got {vertices.shape}")
+    if not np.isfinite(vertices).all():
+        bad = int(np.argmin(np.isfinite(vertices).all(axis=1)))
+        raise MeshError(f"vertex {bad} is not finite: {tuple(vertices[bad].tolist())}")
     if triangles.ndim != 2 or triangles.shape[1] != 3:
         raise MeshError(f"triangles must have shape (nt, 3), got {triangles.shape}")
     if triangles.size and (triangles.min() < 0 or triangles.max() >= len(vertices)):

@@ -319,6 +319,23 @@ def test_pattern_lives_as_long_as_its_gradient(square4, pattern_builds):
     assert pattern() is None
 
 
+def test_gradient_a_plan_reads_is_read_only(square4):
+    # the plan holds copies of G's values: G edited in place would make it stale
+    weights, built = np.ones(square4.num_triangles), build_discrete_gradient(square4)
+    A = assemble_weighted_stiffness(square4, weights, gradient=built)
+    with pytest.raises(ValueError, match="read-only"):
+        built.data *= 2.0
+    again = assemble_weighted_stiffness(square4, weights, gradient=built)
+    assert all(np.array_equal(getattr(again, name), getattr(A, name))
+               for name in ("data", "indices", "indptr"))
+    other = oracles.full_gradient(square4)
+    assembly._stiffness_pattern(other)
+    for g in (built, other):
+        for arr in (g.data, g.indices, g.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = arr[0]
+
+
 def test_stiffness_rejects_mismatched_gradient(square3, square4):
     with pytest.raises(ValueError):
         assemble_weighted_stiffness(square3, np.ones(square3.num_triangles),

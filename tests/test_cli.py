@@ -141,16 +141,62 @@ def test_missing_config_file_is_io_error(tmp_path, capsys):
     ("--gamma", "inf"),
     ("--tol", "-1"),
     ("--max-iters", "-5"),
+    # values no flag parses, and usage errors: one line each, like a bad config line
+    ("--n", "4.0"),
+    ("--p", "abc"),
+    ("--max-iters", "1e3"),
+    ("--domain", "tri"),
+    ("--bogus", "1"),
+    ("--f", "-1e3"),        # argparse reads -1e3 as a flag, so --f has no value
 ])
 def test_invalid_parameter_is_config_error(tmp_path, capsys, flag, value):
     out = tmp_path / "out"
     argv = ["run", "--domain", "square", "--n", "6", flag, value, "--out", str(out)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("configuration error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert "Traceback" not in err
+    assert captured.out == ""
     assert not out.exists()     # a rejected run leaves no output directory
+
+
+@pytest.mark.parametrize("key, raw, message", [
+    ("n", "4.0", "n must be an integer, got '4.0'"),
+    ("max-iters", "1e3", "max_iters must be an integer, got '1e3'"),
+    ("p", "abc", "p must be a number, got 'abc'"),
+    ("continuation", "maybe", "continuation must be a boolean, got 'maybe'"),
+], ids=["n", "max-iters", "p", "continuation"])
+def test_flag_and_config_line_fail_with_the_same_message(tmp_path, capsys, key, raw, message):
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "run.cfg", f"domain = square\n{key} = {raw}\n")
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"configuration error: {cfg}:2: {message}\n"
+    if key != "continuation":       # a flag without a value
+        assert main(["run", "--domain", "square", f"--{key}", raw, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["solve"], "argument command: invalid choice: 'solve' (choose from 'run', 'sweep')"),
+    (["run", "--n"], "argument --n: expected one argument"),
+], ids=["no-command", "unknown-command", "no-value"])
+def test_usage_error_is_one_line(capsys, argv, message):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"], ["sweep", "-h"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith(f"usage: {' '.join(['hbflow', *argv[:-1]])} [-h]")
+    assert err == ""
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -530,7 +576,8 @@ def test_sweep_empty_value_list_is_config_error(tmp_path, capsys, monkeypatch, f
     ("disk", "--n-list", "4,6", "--n-list does not apply to the disk domain"),
     ("square", "--g-list", "0.1,0.2,0.10", "--g-list repeats 0.1"),
     ("square", "--n-list", "4,6,4", "--n-list repeats 4"),
-], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n"])
+    ("square", "--n-list", "4,x", "n must be an integer, got 'x'"),
+], ids=["level-list-on-square", "n-list-on-disk", "repeated-g", "repeated-n", "unparseable-n"])
 def test_sweep_list_that_names_a_run_twice_is_config_error(tmp_path, capsys, monkeypatch,
                                                           domain, flag, value, message):
     def single(*args, **kwargs):

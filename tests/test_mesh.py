@@ -198,6 +198,12 @@ def test_make_mesh_rejects_bad_input():
         make_mesh(verts, np.array([[0, 1, 2], [0, 1, 2]]))          # a triangle listed twice
     with pytest.raises(MeshError, match=one_side):
         make_mesh(fan[:4], np.array([[0, 1, 2], [0, 1, 3]]))        # a fold
+    # a NaN or +inf vertex passes the det <= 0 test, and -inf fails it as det=nan
+    star = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
+    for x in ("nan", "inf", "-inf"):
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [float(x), 1.0], [0.3, 0.3]])
+        with pytest.raises(MeshError, match=rf"^vertex 2 is not finite: \({x}, 1\.0\)$"):
+            make_mesh(corners, star)
 
 
 def test_boundary_flags_from_edge_counts():
