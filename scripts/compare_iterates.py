@@ -9,12 +9,14 @@ process that builds the mesh and solves the workload of the checkout's
 benchmark times, on ``hbflow`` from its ``src/``. It runs with one BLAS
 thread as in the benchmark, bytecode writing off and a scratch working
 directory, so neither checkout is written to. Every history row, every
-line-search trial step and the final u are compared as float hex, stage by
-stage, with objective0, grad0_norm, converged and failure_reason. Prints
-one line per difference and, for a workload that differs, one more with the
-relative drift of its final J and ||u||, the two values the benchmark checks
-against its references. Exits 0 when there is no difference, 1 otherwise,
-and 2 on a usage error or a run that fails.
+line-search trial step, the final u and the dual field (w flattened,
+active and xi; a stage that seeded the next has none) are compared as
+float hex, stage by stage, with objective0, grad0_norm, converged and
+failure_reason. Prints
+one line per difference and, for a workload whose final J or ||u||
+differs, one more with the relative drift of the two, the values the
+benchmark checks against its references. Exits 0 when there is no
+difference, 1 otherwise, and 2 on a usage error or a run that fails.
 """
 
 from __future__ import annotations
@@ -51,12 +53,19 @@ def row(record):
     return [v if isinstance(v, int) else h(v) for v in dataclasses.astuple(record)]
 
 
+def dual(field):
+    if field is None:   # a stage that seeded the next
+        return None
+    return {"w": [h(v) for v in field.w.ravel()], "active": field.active.tolist(),
+            "xi": [h(v) for v in field.xi]}
+
+
 json.dump([{"gamma": h(gamma), "objective0": h(o.objective0), "grad0_norm": h(o.grad0_norm),
             "converged": o.converged, "failure_reason": o.failure_reason,
             "J": h(o.final_objective), "u_norm": h(np.linalg.norm(o.u)),
             "history": [row(r) for r in o.history],
             "trials": [[h(a) for a in t] for t in o.linesearch_trials],
-            "u": [h(v) for v in o.u]}
+            "u": [h(v) for v in o.u], "dual": dual(o.dual)}
            for gamma, o in stages], sys.stdout)
 """
 
@@ -88,6 +97,18 @@ def _sequence(label: str, a: list, b: list) -> list[str]:
     return lines
 
 
+def _entries(label: str, a: list, b: list) -> list[str]:
+    """One line for two arrays that differ: their lengths, or the count and first index."""
+    if len(a) != len(b):
+        return [f"{label}: {len(a)} and {len(b)} entries"]
+    differ = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+    if not differ:
+        return []
+    i = differ[0]
+    return [f"{label}: {len(differ)} of {len(a)} entries differ, "
+            f"first at index {i}: {a[i]} != {b[i]}"]
+
+
 def compare_stages(name: str, a: list[dict], b: list[dict]) -> list[str]:
     """One line per difference between the stages a and b of workload ``name``."""
     lines = [] if len(a) == len(b) else [f"{name}: {len(a)} and {len(b)} stages"]
@@ -97,15 +118,11 @@ def compare_stages(name: str, a: list[dict], b: list[dict]) -> list[str]:
                   for key in SCALARS if sa[key] != sb[key]]
         lines += _sequence(f"{where} history row", sa["history"], sb["history"])
         lines += _sequence(f"{where} trials of iteration", sa["trials"], sb["trials"])
-        ua, ub = sa["u"], sb["u"]
-        differ = [i for i, (x, y) in enumerate(zip(ua, ub)) if x != y]
-        if len(ua) != len(ub):
-            lines.append(f"{where} u: {len(ua)} and {len(ub)} entries")
-        elif differ:
-            i = differ[0]
-            lines.append(f"{where} u: {len(differ)} of {len(ua)} entries differ, "
-                         f"first at index {i}: {ua[i]} != {ub[i]}")
-    if lines and a and b:
+        lines += _entries(f"{where} u", sa["u"], sb["u"])
+        da, db = sa["dual"] or {}, sb["dual"] or {}     # a seeding stage's has no entries
+        for key in ("w", "active", "xi"):
+            lines += _entries(f"{where} dual {key}", da.get(key, []), db.get(key, []))
+    if a and b and any(a[-1][key] != b[-1][key] for key in ("J", "u_norm")):
         ends = [(float.fromhex(a[-1][key]), float.fromhex(b[-1][key])) for key in ("J", "u_norm")]
         drift = [abs(y - x) / abs(x) for x, y in ends]
         lines.append(f"{name} drift: final J {drift[0]:.3e}, ||u|| {drift[1]:.3e} relative")

@@ -146,7 +146,8 @@ def build_manifest(args: argparse.Namespace) -> RunManifest:
         raise ConfigError(f"output directory must not be empty, got {manifest.out!r}")
     if manifest.domain not in _DOMAINS:
         raise ConfigError(f"unknown domain {manifest.domain!r} ({' or '.join(_DOMAINS)})")
-    return manifest
+    read = _DOMAINS[manifest.domain][0]     # the resolution the mesh does not read becomes None
+    return dataclasses.replace(manifest, **{f: None for f, _ in _DOMAINS.values() if f != read})
 
 
 def build_mesh(manifest: RunManifest) -> Mesh:

@@ -9,11 +9,13 @@ and the regularized objective over interior coefficients u is
 
     J(u) = (1/p) sum_T area * xi^p + sum_T area * psi_gamma(xi) - load . u
 
-with xi the per-triangle gradient magnitude. Its gradient applies the two
-weighted stiffness operators (p-Laplacian weight and Huber weight) to u
-through the stiffness scatter plan, without building either matrix, and
-has the bits of the assembled matrices' products; a direct per-triangle
-accumulation of the same sum lives only in the test suite as an oracle.
+with xi = |G u| the per-triangle gradient magnitude, which the callers of
+the objective, its gradient and the dual field compute and pass in. The
+gradient applies the two weighted stiffness operators (p-Laplacian weight
+and Huber weight) to u through the stiffness scatter plan, without
+building either matrix, and has the bits of the assembled matrices'
+products; a direct per-triangle accumulation of the same sum lives only
+in the test suite as an oracle.
 
 :class:`HuberParams` holds the whole pointwise constitutive law as methods
 of xi: psi_gamma, the two flux weights, and the shear-thinning
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import apply_weighted_stiffness, gradient_magnitudes
+from .assembly import apply_weighted_stiffness
 # bound here only for the benchmark's huber.gradient_assembly hook (ROADMAP item 1)
 from .assembly import assemble_weighted_stiffness  # noqa: F401
 from .mesh import Mesh
@@ -105,22 +107,18 @@ class HuberParams:
 
 def evaluate_objective(
     mesh: Mesh,
-    gradient: sp.spmatrix,
     u: np.ndarray,
     params: HuberParams,
     load: np.ndarray,
     *,
-    xi: np.ndarray | None = None,
+    xi: np.ndarray,
 ) -> float:
     """Regularized objective at interior coefficients u.
 
-    ``xi``, when given, must be ``gradient_magnitudes(gradient, u)``; the
-    solver passes the one it computed for u instead of computing it again.
+    ``xi`` is ``gradient_magnitudes(G, u)``, the per-triangle |grad u|.
     May legitimately overflow to +inf for extreme trial states at large p;
     callers treat that as a rejected step, not an error.
     """
-    if xi is None:
-        xi = gradient_magnitudes(gradient, u)
     with np.errstate(over="ignore"):
         p_term = np.sum(mesh.areas * xi**params.p) / params.p
     psi_term = np.sum(mesh.areas * params.psi(xi))
@@ -134,18 +132,16 @@ def evaluate_gradient(
     params: HuberParams,
     load: np.ndarray,
     *,
-    xi: np.ndarray | None = None,
+    xi: np.ndarray,
 ) -> np.ndarray:
     """Gradient of the objective: A_u u + A_max u - load.
 
-    A_u carries the p-Laplacian weight xi^(p-2) and A_max the Huber weight
-    g*gamma/max(g, gamma*xi), both evaluated at the current u. Each product
-    comes from :func:`~hbflow.assembly.apply_weighted_stiffness`, which
-    builds no matrix and gives the assembled product's bits. ``xi``, when
-    given, must be ``gradient_magnitudes(gradient, u)``.
+    ``xi`` is ``gradient_magnitudes(gradient, u)``, the per-triangle
+    |grad u|. A_u carries the p-Laplacian weight xi^(p-2) and A_max the
+    Huber weight g*gamma/max(g, gamma*xi). Each product comes from
+    :func:`~hbflow.assembly.apply_weighted_stiffness`, which builds no
+    matrix and gives the assembled product's bits.
     """
-    if xi is None:
-        xi = gradient_magnitudes(gradient, u)
     a_u_u = apply_weighted_stiffness(mesh, params.plaplacian_weight(xi), u, gradient=gradient)
     a_max_u = apply_weighted_stiffness(mesh, params.huber_weight(xi), u, gradient=gradient)
     return a_u_u + a_max_u - load
@@ -165,16 +161,12 @@ class DualField:
 
 
 def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams, *,
-               xi: np.ndarray | None = None) -> DualField:
-    """Multiplier w = g*gamma*grad(u)/max(g, gamma*|grad u|), active set and |grad u|.
+               xi: np.ndarray) -> DualField:
+    """Multiplier w = g*gamma*grad(u)/max(g, gamma*xi), active set and xi.
 
-    ``xi``, when given, must be ``gradient_magnitudes(gradient, u)``.
+    ``xi`` is ``gradient_magnitudes(gradient, u)``, the per-triangle |grad u|.
     """
-    gvec = gradient @ u
-    nt = gvec.shape[0] // 2
-    gx, gy = gvec[:nt], gvec[nt:]
-    if xi is None:
-        xi = np.hypot(gx, gy)
+    gx, gy = (gradient @ u).reshape(2, -1)
     scale = params.huber_weight(xi)
     w = np.column_stack([scale * gx, scale * gy])
     return DualField(w=w, active=params.gamma * xi >= params.g, xi=xi)

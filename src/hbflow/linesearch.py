@@ -123,6 +123,10 @@ def backtracking_search(
         phi(0) and the directional derivative phi'(0), finite and < 0.
     sigma1 : float
         Armijo slope fraction in (0, 1/4), as ``SolverConfig`` checks it.
+
+    Accepted or given up, the search returns straight after evaluating the
+    step it returns: the last ``phi`` call is ``phi(result.alpha)``, which
+    gave ``result.phi``; ``solve`` keeps the point and xi that call made.
     """
     _check_slope(dphi0)
 

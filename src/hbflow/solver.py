@@ -220,7 +220,7 @@ def solve(
             raise ValueError("u0 must be finite at every interior vertex")
 
     xi = gradient_magnitudes(G, u)      # |grad u| at the current iterate, kept with it
-    objective0 = evaluate_objective(mesh, G, u, params, load, xi=xi)
+    objective0 = evaluate_objective(mesh, u, params, load, xi=xi)
     if not np.isfinite(objective0):     # ahead of the gradient, whose weights overflow with J
         raise ValueError(f"J is {objective0} at the start iterate")
     grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
@@ -250,7 +250,7 @@ def solve(
             trial.clear()               # a rejected trial's xi is dropped first
             v = u + a * w
             trial.extend((v, gradient_magnitudes(G, v)))
-            return evaluate_objective(mesh, G, v, params, load, xi=trial[1])
+            return evaluate_objective(mesh, v, params, load, xi=trial[1])
 
         result = backtracking_search(phi, j_curr, dphi0, config.sigma1)
         all_trials.append(result.trials)

@@ -137,6 +137,12 @@ def test_expand_dirichlet_roundtrip(square4, rng):
     assert np.allclose(full[~square4.boundary_vertex], u, atol=0.0)
 
 
+def test_expand_dirichlet_rejects_a_u_of_the_wrong_length(square4):
+    match = rf"^u shape \({square4.num_interior - 1},\) does not match {square4.num_interior} "
+    with pytest.raises(AssemblyError, match=match):
+        expand_dirichlet(square4, np.zeros(square4.num_interior - 1))
+
+
 def _bits_equal(a, b):
     return (np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
             and np.array_equal(a.data.view(np.int64), b.data.view(np.int64)))
@@ -205,7 +211,7 @@ def test_gradient_bits_equal_the_sparse_product(request, rng, mesh, p, g, gamma)
     a_u = oracles.weighted_stiffness(m, params.plaplacian_weight(xi), gradient)
     a_max = oracles.weighted_stiffness(m, params.huber_weight(xi), gradient)
     want = a_u @ u + a_max @ u - load
-    got = evaluate_gradient(m, gradient, u, params, load)
+    got = evaluate_gradient(m, gradient, u, params, load, xi=xi)
     assert np.all(np.isfinite(want))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -273,7 +279,8 @@ def test_gradient_assembles_no_matrix(square16, rng, monkeypatch):
     monkeypatch.setattr(assembly._StiffnessPattern, "assemble", counting)
     params = HuberParams(p=4.0, g=0.2, gamma=50.0)
     gradient, load = build_discrete_gradient(square16), assemble_load_vector(square16, 1.0)
-    evaluate_gradient(square16, gradient, rng.standard_normal(gradient.shape[1]), params, load)
+    u = rng.standard_normal(gradient.shape[1])
+    evaluate_gradient(square16, gradient, u, params, load, xi=gradient_magnitudes(gradient, u))
     assert calls == []
     assemble_weighted_stiffness(square16, np.ones(square16.num_triangles), gradient=gradient)
     assert calls == [1]     # the counter sees a real assembly
@@ -344,3 +351,12 @@ def test_stiffness_rejects_mismatched_gradient(square3, square4):
     with pytest.raises(AssemblyError):
         assemble_weighted_stiffness(square3, np.ones(square3.num_triangles),
                                     gradient=g.tocsc())
+    # triangles 0 and 1 differ in a vertex: with their y rows swapped, rows t and
+    # t + nt of each hold different columns
+    nt = square3.num_triangles
+    rows = np.arange(2 * nt)
+    rows[[nt, nt + 1]] = rows[[nt + 1, nt]]
+    swapped = oracles.full_gradient(square3)[rows]
+    assert swapped.format == "csr"
+    with pytest.raises(AssemblyError, match=r"^gradient rows t and t \+ nt must share at most 3 "):
+        assemble_weighted_stiffness(square3, np.ones(nt), gradient=swapped)

@@ -80,6 +80,19 @@ def test_manifest_precedence(tmp_path):
     assert manifest.preset == "exp2-mesh-study"
 
 
+@pytest.mark.parametrize("argv, read, unread", [
+    (["--preset", "exp1-thinning", "--domain", "square", "--n", "4"], ("n", 4), "level"),
+    (["--domain", "square", "--n", "4", "--level", "3", "--p", "3"], ("n", 4), "level"),
+    (["--domain", "disk", "--level", "1", "--n", "8"], ("level", 1), "n"),
+], ids=["preset-level", "square-level", "disk-n"])
+def test_summary_records_only_the_resolution_its_domain_reads(tmp_path, argv, read, unread):
+    out = tmp_path / "out"
+    assert main(["run", *argv, "--max-iters", "2", "--out", str(out)]) in (0, 1)
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary[read[0]] == read[1]
+    assert summary[unread] is None
+
+
 def test_presets_cover_the_experiments():
     assert set(PRESETS) == {
         "exp1-thinning", "exp1-thickening", "exp2-mesh-study", "exp3-continuation",

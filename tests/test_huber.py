@@ -128,7 +128,7 @@ def test_objective_matches_triangle_loop(square2, square3, rng, p):
     for mesh in (square2, square3):
         gradient, load = problem_arrays(mesh, f)
         u = 0.4 * rng.standard_normal(mesh.num_interior)
-        got = evaluate_objective(mesh, gradient, u, params, load)
+        got = evaluate_objective(mesh, u, params, load, xi=gradient_magnitudes(gradient, u))
         want = oracles.objective(mesh, u, p, g, gamma, f)
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -142,7 +142,7 @@ def test_gradient_matches_central_differences(square3, rng, p):
     xi = gradient_magnitudes(gradient, u)
     # differentiability guard: stay clear of the Huber kink on every triangle
     assert np.min(np.abs(gamma * xi - g)) > 1e-3 * g
-    got = evaluate_gradient(square3, gradient, u, params, load)
+    got = evaluate_gradient(square3, gradient, u, params, load, xi=xi)
     want = oracles.gradient_fd(square3, u, p, g, gamma, f)
     assert np.max(np.abs(got - want)) < 1e-6
 
@@ -152,7 +152,8 @@ def test_gradient_at_zero_is_minus_load(square4, p):
     params = HuberParams(p=p, g=0.2, gamma=1000.0)
     gradient, load = problem_arrays(square4)
     u = np.zeros(square4.num_interior)
-    grad = evaluate_gradient(square4, gradient, u, params, load)
+    grad = evaluate_gradient(square4, gradient, u, params, load,
+                             xi=gradient_magnitudes(gradient, u))
     assert np.array_equal(grad, -load)
 
 
@@ -160,7 +161,7 @@ def test_objective_overflow_is_inf_not_nan(square2):
     params = HuberParams(p=4.0, g=0.2, gamma=1000.0)
     gradient, load = problem_arrays(square2)
     u = np.full(square2.num_interior, 1e160)
-    val = evaluate_objective(square2, gradient, u, params, load)
+    val = evaluate_objective(square2, u, params, load, xi=gradient_magnitudes(gradient, u))
     assert np.isinf(val) and val > 0
 
 
@@ -171,14 +172,28 @@ def test_dual_field_single_triangle():
     params = HuberParams(p=1.5, g=1.0, gamma=10.0)
 
     # grad u = (1e-3, 0): inactive, w = gamma * grad u
-    dual = dual_field(gradient, np.array([0.0, 1e-3, 0.0]), params)
+    u = np.array([0.0, 1e-3, 0.0])
+    dual = dual_field(gradient, u, params, xi=gradient_magnitudes(gradient, u))
     assert np.allclose(dual.w, [[1e-2, 0.0]], atol=1e-18)
     assert not dual.active[0]
 
     # grad u = (1, 0): active, w sits on the bound |w| = g
-    dual = dual_field(gradient, np.array([0.0, 1.0, 0.0]), params)
+    u = np.array([0.0, 1.0, 0.0])
+    dual = dual_field(gradient, u, params, xi=gradient_magnitudes(gradient, u))
     assert np.allclose(dual.w, [[1.0, 0.0]], atol=1e-15)
     assert dual.active[0]
+
+
+def test_evaluators_require_xi(square2):
+    params = HuberParams(p=1.5, g=0.2, gamma=10.0)
+    gradient, load = problem_arrays(square2)
+    u = np.zeros(square2.num_interior)
+    calls = [lambda: evaluate_objective(square2, u, params, load),
+             lambda: evaluate_gradient(square2, gradient, u, params, load),
+             lambda: dual_field(gradient, u, params)]
+    for call in calls:
+        with pytest.raises(TypeError, match="required keyword-only argument: 'xi'"):
+            call()
 
 
 def test_dual_field_bound_and_consistency(square3, rng):
@@ -186,8 +201,8 @@ def test_dual_field_bound_and_consistency(square3, rng):
     params = HuberParams(p=1.5, g=g, gamma=gamma)
     gradient, _ = problem_arrays(square3)
     u = 0.5 * rng.standard_normal(square3.num_interior)
-    dual = dual_field(gradient, u, params)
     xi = gradient_magnitudes(gradient, u)
+    dual = dual_field(gradient, u, params, xi=xi)
     wmag = np.hypot(dual.w[:, 0], dual.w[:, 1])
     assert np.all(wmag <= g + 1e-12)
     assert np.array_equal(dual.active, gamma * xi >= g)

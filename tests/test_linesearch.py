@@ -157,10 +157,22 @@ def test_cubic_step_matches_its_split_oracle(args):
     assert bits(cubic_step, *args) == bits(oracles.cubic_step, *args)
 
 
+def recording(phi):
+    """phi, and the list of (alpha, value) pairs it returned, in call order."""
+    calls = []
+
+    def recorded(a):
+        calls.append((a, phi(a)))
+        return calls[-1][1]
+
+    return recorded, calls
+
+
 def test_search_accepts_quadratic_minimum():
-    phi = lambda a: (a - 0.2) ** 2
+    phi, calls = recording(lambda a: (a - 0.2) ** 2)
     res = backtracking_search(phi, phi0=0.04, dphi0=-0.4, sigma1=1e-4)
     assert res.status == "accepted"
+    assert calls[-1] == (res.alpha, res.phi)        # the search ends on the step it returns
     assert res.alpha == pytest.approx(0.2, rel=1e-15)
     assert res.phi == pytest.approx(0.0, abs=1e-30)
     assert res.evaluations == 2
@@ -201,8 +213,10 @@ def test_search_rejects_non_descent_slope():
 def test_search_gives_up_after_max_backtracks():
     # a flat phi rejects every trial; each step shrinks by at most half, so
     # the cap stops the search before the steps reach MIN_STEP
-    res = backtracking_search(lambda a: 1.0, phi0=1.0, dphi0=-1.0, sigma1=1e-4)
+    phi, calls = recording(lambda a: 1.0)
+    res = backtracking_search(phi, phi0=1.0, dphi0=-1.0, sigma1=1e-4)
     assert res.status == "step-too-small"
+    assert calls[-1] == (res.alpha, res.phi)
     assert res.evaluations == MAX_BACKTRACKS + 1
     assert res.backtracks == MAX_BACKTRACKS + 1     # every trial, the unit step too
     assert res.alpha == res.trials[-1]              # last trial actually evaluated
@@ -215,8 +229,10 @@ def test_search_gives_up_below_min_step():
     # a steep phi shrinks the trial steps fast enough that the next model
     # step falls below MIN_STEP before the backtrack cap is reached
     phi = lambda a: 1.0 + 1e6 * a * a
-    res = backtracking_search(phi, phi0=1.0, dphi0=-1.0, sigma1=1e-4)
+    recorded, calls = recording(phi)
+    res = backtracking_search(recorded, phi0=1.0, dphi0=-1.0, sigma1=1e-4)
     assert res.status == "step-too-small"
+    assert calls[-1] == (res.alpha, res.phi)
     assert res.evaluations == 22
     assert res.backtracks == 22
     assert res.alpha == res.trials[-1]              # last trial actually evaluated
@@ -229,9 +245,11 @@ def test_search_gives_up_below_min_step():
 def test_search_safeguards_trial_ratios():
     # minimum far below the floor: every backtrack must shrink the step by a
     # factor inside the fixed [0.1, 0.5] clamp
-    phi = lambda a: (a - 0.01) ** 2
+    phi, calls = recording(lambda a: (a - 0.01) ** 2)
     res = backtracking_search(phi, phi0=1e-4, dphi0=-0.02, sigma1=1e-4)
     assert res.status == "accepted"
+    assert len(res.trials) > 2                      # the quadratic step, then cubic ones
+    assert calls[-1] == (res.alpha, res.phi)
     ratios = np.diff(np.log(res.trials))
     assert np.all(ratios <= np.log(0.5) + 1e-12)
     assert np.all(ratios >= np.log(0.1) - 1e-12)

@@ -190,6 +190,9 @@ def test_make_mesh_rejects_bad_input():
         make_mesh(verts, np.array([[0, 1, 3]]))          # index out of range
     with pytest.raises(MeshError):
         make_mesh(verts[:, :1], np.array([[0, 1, 2]]))   # wrong vertex shape
+    for bad in (np.array([0, 1, 2]), np.array([[0, 1], [1, 2]])):       # wrong triangle shape
+        with pytest.raises(MeshError, match=r"^triangles must have shape \(nt, 3\), got "):
+            make_mesh(verts, bad)
     fan = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.5], [0.5, 2.0]])
     with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies on 3 triangles$"):
         make_mesh(fan, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))   # non-manifold

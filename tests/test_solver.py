@@ -116,8 +116,9 @@ def test_descent_direction_continuous_across_p2(square4, rng):
 
     def direction(p):
         params = HuberParams(p=p, g=0.2, gamma=10.0)
-        grad = evaluate_gradient(square4, gradient, u, params, load)
-        return problem.descent_direction(gradient_magnitudes(gradient, u), params, grad)[0]
+        xi = gradient_magnitudes(gradient, u)
+        grad = evaluate_gradient(square4, gradient, u, params, load, xi=xi)
+        return problem.descent_direction(xi, params, grad)[0]
 
     w_thin = direction(1.999)   # weighted stiffness preconditioner
     w_thick = direction(2.0)    # Laplacian preconditioner
@@ -263,7 +264,8 @@ def test_continuation_ladder_warm_starts(square16):
     # stage 2 starts from stage 1's iterate, re-scored at the new gamma
     gradient, load = problem_arrays(square16, 1.0)
     params = HuberParams(p=1.5, g=0.2, gamma=100.0)
-    expected = evaluate_objective(square16, gradient, stages[0][1].u, params, load)
+    u = stages[0][1].u
+    expected = evaluate_objective(square16, u, params, load, xi=gradient_magnitudes(gradient, u))
     assert stages[1][1].objective0 == pytest.approx(expected, rel=1e-12)
 
 
@@ -272,8 +274,9 @@ def test_continuation_keeps_only_the_last_dual(square16):
     stages = continuation_solve(square16, cfg, 1.0, gamma_start=10.0, gamma_end=1000.0)
     assert [outcome.dual for _, outcome in stages[:-1]] == [None, None]
     gamma, last = stages[-1]
-    dual = dual_field(build_discrete_gradient(square16), last.u,
-                      dataclasses.replace(cfg, gamma=gamma).huber_params())
+    gradient = build_discrete_gradient(square16)
+    dual = dual_field(gradient, last.u, dataclasses.replace(cfg, gamma=gamma).huber_params(),
+                      xi=gradient_magnitudes(gradient, last.u))
     for name in ("w", "active", "xi"):
         assert np.array_equal(getattr(last.dual, name), getattr(dual, name)), name
 
@@ -421,12 +424,14 @@ def test_solve_computes_xi_once_per_point(square16, hypot_calls, p, method):
     gradient, load = problem_arrays(square16, f)
     params = cfg.huber_params()
     u0 = solve(square16, dataclasses.replace(cfg, max_iters=0), f).u
-    grad0 = evaluate_gradient(square16, gradient, u0, params, load)
+    xi0 = gradient_magnitudes(gradient, u0)
+    grad0 = evaluate_gradient(square16, gradient, u0, params, load, xi=xi0)
     assert out.grad0_norm == float(np.linalg.norm(grad0))
-    assert out.objective0 == evaluate_objective(square16, gradient, u0, params, load)
-    grad = evaluate_gradient(square16, gradient, out.u, params, load)
+    assert out.objective0 == evaluate_objective(square16, u0, params, load, xi=xi0)
+    xi = gradient_magnitudes(gradient, out.u)
+    grad = evaluate_gradient(square16, gradient, out.u, params, load, xi=xi)
     assert out.final_rel_residual == float(np.linalg.norm(grad)) / out.grad0_norm
-    dual = dual_field(gradient, out.u, params)
+    dual = dual_field(gradient, out.u, params, xi=xi)
     for name in ("w", "active", "xi"):
         assert np.array_equal(getattr(out.dual, name), getattr(dual, name)), name
 
