@@ -12,11 +12,12 @@ of the constitutive law are methods of ``huber.HuberParams``):
 
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
-which is G^T D G, D = diag(w * area, w * area), computed from a plan built
-once per G that lives as long as G, whose arrays are then read-only so the
-plan cannot go stale. The plan holds the G values of each entry's terms as
-a constant sparse term matrix, so the entries are two runs
-of scipy's CSR matrix-vector kernel, on the x terms and then the y terms,
+which is G^T D G, D = diag(w * area, w * area). G is built once per mesh
+and kept on it, with read-only arrays, and the plan these entries come
+from is kept on G, so both live as long as the mesh; the evaluators take
+the mesh alone, so none can meet another mesh's G. The plan holds the G
+values of each entry's terms as a constant sparse term matrix, so the
+entries are two runs of scipy's CSR matrix-vector kernel, on the x terms and then the y terms,
 into one zeroed array. The kernel starts each row from the array's value
 and adds each term as one product, so every entry is summed in the order
 and rounding of scipy's ``G.T @ (D @ G)``, bit for bit. The plan gives the
@@ -43,13 +44,18 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     """Sparse matrix taking interior vertex coefficients to per-triangle gradients.
 
     Columns run over interior vertices only, so homogeneous Dirichlet data
-    is baked in.
+    is baked in. G is built on the first call for a mesh and kept on it:
+    every later call returns the same matrix.
 
     Returns
     -------
     csr_matrix, shape (2 nt, num_interior)
         With read-only ``data``, ``indices`` and ``indptr``.
     """
+    if not isinstance(mesh, Mesh):
+        raise TypeError(f"expected a Mesh, got {type(mesh).__name__}")
+    if hasattr(mesh, "_hbflow_gradient"):
+        return mesh._hbflow_gradient
     nt = mesh.num_triangles
     ncols = mesh.num_interior
     if ncols == 0:
@@ -67,14 +73,10 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     vals = np.concatenate([gx, gy])
     G = sp.coo_matrix((vals, (rows, cols2)), shape=(2 * nt, ncols)).tocsr()
     G.sort_indices()
-    return _freeze(G)
-
-
-def _freeze(gradient: sp.csr_matrix) -> sp.csr_matrix:
-    """G with its arrays read-only, as every Mesh array is: a plan copies G's values."""
-    for arr in (gradient.data, gradient.indices, gradient.indptr):
+    for arr in (G.data, G.indices, G.indptr):     # as every Mesh array: the plan reads G
         arr.setflags(write=False)
-    return gradient
+    mesh._hbflow_gradient = G
+    return G
 
 
 def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
@@ -84,9 +86,7 @@ def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
     return np.hypot(g[:nt], g[nt:])
 
 
-def assemble_weighted_stiffness(
-    mesh: Mesh, weights: np.ndarray, *, gradient: sp.csr_matrix
-) -> sp.csr_matrix:
+def assemble_weighted_stiffness(mesh: Mesh, weights: np.ndarray) -> sp.csr_matrix:
     """Stiffness matrix with one nonnegative weight per triangle.
 
     Parameters
@@ -94,25 +94,18 @@ def assemble_weighted_stiffness(
     mesh : Mesh
     weights : ndarray, shape (nt,)
         Per-triangle weights, finite and >= 0.
-    gradient : csr_matrix
-        The mesh's discrete gradient. Its scatter plan is built on the first
-        call and reused by every later call with the same matrix.
     """
-    d = _scaled_weights(mesh, weights)
-    return _stiffness_pattern(gradient).assemble(gradient, d)
+    return _stiffness_pattern(mesh).assemble(_scaled_weights(mesh, weights))
 
 
-def apply_weighted_stiffness(
-    mesh: Mesh, weights: np.ndarray, u: np.ndarray, *, gradient: sp.csr_matrix
-) -> np.ndarray:
+def apply_weighted_stiffness(mesh: Mesh, weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     """A u for the stiffness matrix A with these weights, without building A.
 
     Takes the arguments of :func:`assemble_weighted_stiffness` plus u of
     shape (n,), and returns ``assemble_weighted_stiffness(...) @ u`` bit for
     bit for finite u.
     """
-    d = _scaled_weights(mesh, weights)
-    return _stiffness_pattern(gradient).apply(gradient, d, u)
+    return _stiffness_pattern(mesh).apply(_scaled_weights(mesh, weights), u)
 
 
 def _scaled_weights(mesh: Mesh, weights: np.ndarray) -> np.ndarray:
@@ -136,17 +129,15 @@ class _StiffnessPattern:
     G[k, i], ``term_data[0]`` for the x row k and ``term_data[1]`` for the
     y row; its column, ``term_indices``, is the slot of G[k, j] in G's x
     data, which the y data repeats. ``lengths`` counts each triangle's slots.
+    G is a CSR matrix, such as :func:`build_discrete_gradient`'s, whose rows
+    t and t + nt hold the same at most 3 columns; the plan reads its values
+    as ``gradient_data``, so G must not change while the plan lives.
     """
 
     def __init__(self, gradient: sp.csr_matrix):
-        if gradient.format != "csr":
-            raise AssemblyError(f"gradient must be CSR, got {gradient.format}")
         n, nt = gradient.shape[1], gradient.shape[0] // 2
         indptr, indices, self.nx = gradient.indptr, gradient.indices, int(gradient.indptr[nt])
         self.lengths = np.diff(indptr[:nt + 1])
-        if (np.any(self.lengths > 3) or not np.array_equal(indptr[nt:] - self.nx, indptr[:nt + 1])
-                or not np.array_equal(indices[:self.nx], indices[self.nx:])):
-            raise AssemblyError("gradient rows t and t + nt must share at most 3 columns")
 
         # every term, triangles ascending: the x slots a, b of G[k, i], G[k, j]
         valid = np.arange(3) < self.lengths[:, None]
@@ -169,9 +160,10 @@ class _StiffnessPattern:
         self.shape = (n, n)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        self.term_data = tuple(half[a] for half in gradient.data.reshape(2, -1))
+        self.gradient_data = gradient.data.reshape(2, -1)       # G's x and y values
+        self.term_data = tuple(half[a] for half in self.gradient_data)
 
-    def values(self, gradient: sp.csr_matrix, d: np.ndarray) -> np.ndarray:
+    def values(self, d: np.ndarray) -> np.ndarray:
         """Entries of G^T diag(d, d) G in this plan's CSR order, exact zeros kept.
 
         Each is 0 + x terms + y terms: S times d[k] * G[k, j], half by half.
@@ -180,24 +172,22 @@ class _StiffnessPattern:
         # the kernel reads its index and vector arguments unchecked
         if np.shape(d) != (nt,):
             raise AssemblyError(f"d shape {np.shape(d)} does not match {nt} triangles")
-        if gradient.shape != (2 * nt, self.shape[1]) or gradient.data.size != 2 * self.nx:
-            raise AssemblyError("gradient is not the one this plan was built from")
-        dg = gradient.data.reshape(2, -1) * np.repeat(d, self.lengths)    # d[k] * G[k, j]
+        dg = self.gradient_data * np.repeat(d, self.lengths)    # d[k] * G[k, j]
         out = np.zeros(self.indices.size)
         for terms, g in zip(self.term_data, dg):
             _sparsetools.csr_matvec(out.size, self.nx, self.term_indptr, self.term_indices,
                                     terms, g, out)
         return out
 
-    def assemble(self, gradient: sp.csr_matrix, d: np.ndarray) -> sp.csr_matrix:
+    def assemble(self, d: np.ndarray) -> sp.csr_matrix:
         """G^T diag(d, d) G for this plan's G, with d of shape (nt,)."""
-        A = sp.csr_matrix((self.values(gradient, d), self.indices.copy(), self.indptr.copy()),
+        A = sp.csr_matrix((self.values(d), self.indices.copy(), self.indptr.copy()),
                           shape=self.shape)
         A.eliminate_zeros()
         return A
 
-    def apply(self, gradient: sp.csr_matrix, d: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """``assemble(gradient, d) @ u`` without building the matrix.
+    def apply(self, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``assemble(d) @ u`` without building the matrix.
 
         It runs scipy's own CSR kernel on the entries of :meth:`values`.
         Each row sum starts from +0.0, and under round-to-nearest such a sum
@@ -209,16 +199,15 @@ class _StiffnessPattern:
         if u.shape != (n,):     # the kernel reads u unchecked
             raise AssemblyError(f"u shape {u.shape} does not match {n} columns")
         out = np.zeros(n)
-        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.values(gradient, d),
-                                u, out)
+        _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.values(d), u, out)
         return out
 
 
-def _stiffness_pattern(gradient: sp.csr_matrix) -> _StiffnessPattern:
-    # kept on G itself, so the plan lives exactly as long as G
+def _stiffness_pattern(mesh: Mesh) -> _StiffnessPattern:
+    gradient = build_discrete_gradient(mesh)
+    # kept on the mesh's G, so the plan lives exactly as long as G and the mesh
     if not hasattr(gradient, "_hbflow_stiffness_pattern"):
         gradient._hbflow_stiffness_pattern = _StiffnessPattern(gradient)
-        _freeze(gradient)       # the plan holds copies of G's values
     return gradient._hbflow_stiffness_pattern
 
 

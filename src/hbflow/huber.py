@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import apply_weighted_stiffness
+from .assembly import apply_weighted_stiffness, build_discrete_gradient
 # bound here only for the benchmark's huber.gradient_assembly hook (ROADMAP item 1)
 from .assembly import assemble_weighted_stiffness  # noqa: F401
 from .mesh import Mesh
@@ -127,7 +126,6 @@ def evaluate_objective(
 
 def evaluate_gradient(
     mesh: Mesh,
-    gradient: sp.spmatrix,
     u: np.ndarray,
     params: HuberParams,
     load: np.ndarray,
@@ -136,14 +134,14 @@ def evaluate_gradient(
 ) -> np.ndarray:
     """Gradient of the objective: A_u u + A_max u - load.
 
-    ``xi`` is ``gradient_magnitudes(gradient, u)``, the per-triangle
-    |grad u|. A_u carries the p-Laplacian weight xi^(p-2) and A_max the
+    ``xi`` is ``gradient_magnitudes(G, u)``, the per-triangle |grad u|.
+    A_u carries the p-Laplacian weight xi^(p-2) and A_max the
     Huber weight g*gamma/max(g, gamma*xi). Each product comes from
     :func:`~hbflow.assembly.apply_weighted_stiffness`, which builds no
     matrix and gives the assembled product's bits.
     """
-    a_u_u = apply_weighted_stiffness(mesh, params.plaplacian_weight(xi), u, gradient=gradient)
-    a_max_u = apply_weighted_stiffness(mesh, params.huber_weight(xi), u, gradient=gradient)
+    a_u_u = apply_weighted_stiffness(mesh, params.plaplacian_weight(xi), u)
+    a_max_u = apply_weighted_stiffness(mesh, params.huber_weight(xi), u)
     return a_u_u + a_max_u - load
 
 
@@ -160,13 +158,13 @@ class DualField:
     xi: np.ndarray       # (nt,) |grad u| at the u the field was computed from
 
 
-def dual_field(gradient: sp.spmatrix, u: np.ndarray, params: HuberParams, *,
+def dual_field(mesh: Mesh, u: np.ndarray, params: HuberParams, *,
                xi: np.ndarray) -> DualField:
     """Multiplier w = g*gamma*grad(u)/max(g, gamma*xi), active set and xi.
 
-    ``xi`` is ``gradient_magnitudes(gradient, u)``, the per-triangle |grad u|.
+    ``xi`` is ``gradient_magnitudes(G, u)``, the per-triangle |grad u|.
     """
-    gx, gy = (gradient @ u).reshape(2, -1)
+    gx, gy = (build_discrete_gradient(mesh) @ u).reshape(2, -1)
     scale = params.huber_weight(xi)
     w = np.column_stack([scale * gx, scale * gy])
     return DualField(w=w, active=params.gamma * xi >= params.g, xi=xi)

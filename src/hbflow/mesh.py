@@ -25,7 +25,8 @@ class Mesh:
     """Planar conforming triangulation with P1 metadata.
 
     Instances are immutable after construction (all arrays are marked
-    read-only), so a mesh can be shared freely between solver runs.
+    read-only), so a mesh can be shared freely between solver runs, which
+    share the discrete gradient ``hbflow.assembly`` keeps on it.
 
     Attributes
     ----------
@@ -117,13 +118,21 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     Raises
     ------
     MeshError
-        If a vertex coordinate is not finite, any triangle has non-positive
+        If a vertex coordinate is not finite, a triangle index is not an
+        integer, a vertex is on no triangle, any triangle has non-positive
         area (wrong orientation or degenerate geometry), an edge lies on
         more than two triangles or has two on one side (a fold or a repeated
         triangle), or the arrays have inconsistent shapes.
     """
     vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    triangles = np.ascontiguousarray(triangles, dtype=np.int64)
+    indices = np.asarray(triangles)
+    if indices.dtype.kind not in "biuf":
+        raise MeshError(f"triangle indices must be integers, got dtype {indices.dtype}")
+    with np.errstate(invalid="ignore"):     # NaN, inf and huge values fail the test below
+        triangles = np.ascontiguousarray(indices, dtype=np.int64)
+    changed = triangles != indices
+    if np.any(changed):
+        raise MeshError(f"triangle index {indices.flat[np.argmax(changed)]} is not an int64")
     if vertices.ndim != 2 or vertices.shape[1] != 2:
         raise MeshError(f"vertices must have shape (nv, 2), got {vertices.shape}")
     if not np.isfinite(vertices).all():
@@ -146,9 +155,13 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     if np.any(one_side):
         bad = int(np.argmax(one_side))
         raise MeshError(f"edge {tuple(edges[bad].tolist())} has both its triangles on one side")
+    used = np.zeros(len(vertices), dtype=bool)
+    used[edges] = True
+    if not used.all():      # it would be an unknown that no triangle couples to any other
+        raise MeshError(f"vertex {int(np.argmin(used))} is on no triangle")
     boundary_vertex = np.zeros(len(vertices), dtype=bool)
     boundary_vertex[edges[counts == 1]] = True
-    del edges, side_edge, counts, starts, one_side
+    del edges, side_edge, counts, starts, one_side, used
 
     x0, x1, x2 = vertices[:, 0][triangles.T]
     y0, y1, y2 = vertices[:, 1][triangles.T]

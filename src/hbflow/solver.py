@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import (
     assemble_load_vector,
@@ -125,12 +124,12 @@ class SolveOutcome:
 
 @dataclass
 class _Problem:
-    """What stays fixed over a run or a continuation ladder: mesh, discrete
-    gradient, load, linear solver settings, and, for p >= 2, built on first
-    use, the Laplacian and its LU factor, whatever the method."""
+    """What stays fixed over a run or a continuation ladder: mesh, load,
+    linear solver settings, and, for p >= 2, built on first use, the
+    Laplacian and its LU factor, whatever the method. The mesh keeps its
+    discrete gradient and stiffness plan itself."""
 
     mesh: Mesh
-    gradient: sp.csr_matrix
     load: np.ndarray
     linear: LinearConfig
 
@@ -141,11 +140,11 @@ class _Problem:
             load_norm = float(np.linalg.norm(load))
         if not np.isfinite(load_norm):      # ahead of the Poisson start, which solves for it
             raise ValueError(f"||load|| is {load_norm}")
-        return cls(mesh, build_discrete_gradient(mesh), load, linear)
+        return cls(mesh, load, linear)
 
     def _system(self, weights: np.ndarray, direct: bool = False):
         """Weighted stiffness, with its LU factor if ``direct`` or for the direct method."""
-        A = assemble_weighted_stiffness(self.mesh, weights, gradient=self.gradient)
+        A = assemble_weighted_stiffness(self.mesh, weights)
         return A, factorize_spd(A) if direct or self.linear.method == "direct" else None
 
     @cached_property
@@ -195,7 +194,7 @@ def solve(
     problem : optional
         Internal: :func:`continuation_solve` passes the problem it prepared
         from the same mesh, ``f`` and ``config.linear``, so that every
-        stage reuses one gradient, load and, for p >= 2, factored Laplacian.
+        stage reuses one load and, for p >= 2, factored Laplacian.
 
     Notes
     -----
@@ -209,7 +208,7 @@ def solve(
     params = config.huber_params()
     if problem is None:
         problem = _Problem.build(mesh, f, config.linear)
-    G, load = problem.gradient, problem.load
+    G, load = build_discrete_gradient(mesh), problem.load
     if u0 is None:
         u = problem.poisson_start(params.p)
     else:
@@ -223,7 +222,7 @@ def solve(
     objective0 = evaluate_objective(mesh, u, params, load, xi=xi)
     if not np.isfinite(objective0):     # ahead of the gradient, whose weights overflow with J
         raise ValueError(f"J is {objective0} at the start iterate")
-    grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
+    grad = evaluate_gradient(mesh, u, params, load, xi=xi)
     with np.errstate(over="ignore"):    # an overflow is the error raised below
         grad0_norm = float(np.linalg.norm(grad))
     if not np.isfinite(grad0_norm):     # ahead of the first descent solve
@@ -232,7 +231,7 @@ def solve(
     all_trials: list[list[float]] = []
 
     if grad0_norm == 0.0:
-        return SolveOutcome(u, history, True, dual_field(G, u, params, xi=xi),
+        return SolveOutcome(u, history, True, dual_field(mesh, u, params, xi=xi),
                             objective0, 0.0, all_trials)
 
     converged = False
@@ -260,7 +259,7 @@ def solve(
 
         u, xi = trial                   # u + result.alpha * w, bit for bit
         j_curr = result.phi
-        grad = evaluate_gradient(mesh, G, u, params, load, xi=xi)
+        grad = evaluate_gradient(mesh, u, params, load, xi=xi)
         rel = float(np.linalg.norm(grad)) / grad0_norm
         history.append(IterationRecord(k, rel, j_curr, result.alpha,
                                        result.backtracks, dphi0, identity_err))
@@ -268,7 +267,7 @@ def solve(
             converged = True
             break
 
-    return SolveOutcome(u, history, converged, dual_field(G, u, params, xi=xi),
+    return SolveOutcome(u, history, converged, dual_field(mesh, u, params, xi=xi),
                         objective0, grad0_norm, all_trials, failure)
 
 

@@ -9,7 +9,9 @@ purpose; only ever run on tiny meshes. The discrete gradient and the load
 over all vertices, boundary included, are built here triangle by triangle,
 for whole-space identities the package's interior-only operators cannot
 show. The exact radially symmetric solution on the unit disk comes from a
-scalar equation per radius and 1-D quadrature.
+scalar equation per radius and 1-D quadrature, and a bracket around the
+unregularized discrete minimum from Fenchel duality and one Laplacian
+solve.
 
 Five oracles keep an earlier implementation instead, for bit-for-bit and
 byte-for-byte comparison: the mesh edge table through ``np.unique`` and the
@@ -169,6 +171,58 @@ def radial_solution(p, g, f, gamma):
         return (x**p / p + huber) * r - 0.5 * f * x * r * r
 
     return xi, u, 2.0 * np.pi * float(np.sum(integrals(cells(), density)))
+
+
+def _interior_operators(mesh, f):
+    """The interior columns of ``full_gradient``, the shoelace areas and the
+    interior load."""
+    interior = ~mesh.boundary_vertex
+    areas = np.array([shoelace_area(mesh.vertices[idx]) for idx in mesh.triangles])
+    return full_gradient(mesh)[:, interior].tocsr(), areas, full_load(mesh, f)[interior]
+
+
+def projected_flux(mesh, u, p, g, gamma, f):
+    """The regularized flux at u, made to balance the load by one Laplacian solve.
+
+    With z = G u, xi = |z| per triangle and the law's weight
+    c = xi^(p-2) (zero where xi <= 1e-14) + g gamma / max(g, gamma xi), the
+    gradient of J_gamma is J'(u) = G^T(area c z) - load. Solving K v = J'(u)
+    with the Laplacian K = G^T(area G) and setting sigma = c z - G v gives
+    G^T(area sigma) = load up to rounding. Returns (sigma, residual): sigma
+    stacked like G u, shape (2 nt,), and ||G^T(area sigma) - load|| / ||load||.
+    """
+    G, areas, load = _interior_operators(mesh, f)
+    z = G @ u
+    nt = areas.size
+    xi = np.hypot(z[:nt], z[nt:])
+    c = np.zeros(nt)
+    c[xi > 1e-14] = xi[xi > 1e-14] ** (p - 2.0)
+    c += g * gamma / np.maximum(g, gamma * xi)
+    a, c = np.concatenate([areas, areas]), np.concatenate([c, c])
+    laplacian = (G.T @ sp.diags(a) @ G).tocsc()
+    v = spla.spsolve(laplacian, G.T @ (a * c * z) - load)
+    sigma = c * z - G @ v
+    return sigma, float(np.linalg.norm(G.T @ (a * sigma) - load) / np.linalg.norm(load))
+
+
+def dual_bracket(mesh, u, p, g, gamma, f):
+    """(lower, upper) around the minimum of the unregularized discrete
+    objective J_inf(u) = sum area (xi^p/p + g xi) - load . u.
+
+    Every flux sigma with G^T(area sigma) = load gives, by Fenchel-Young for
+    phi(z) = |z|^p/p + g|z|, whose conjugate is (|s| - g)_+^p'/p' with
+    p' = p/(p-1), the lower bound -sum area (|sigma| - g)_+^p'/p' <= min J_inf.
+    sigma is ``projected_flux`` at u, and the upper bound is J_inf(u).
+    """
+    G, areas, load = _interior_operators(mesh, f)
+    z, nt = G @ u, areas.size
+    xi = np.hypot(z[:nt], z[nt:])
+    sigma = projected_flux(mesh, u, p, g, gamma, f)[0]
+    q = p / (p - 1.0)
+    excess = np.maximum(np.hypot(sigma[:nt], sigma[nt:]) - g, 0.0)
+    lower = -float(np.sum(areas * excess**q)) / q
+    upper = float(np.sum(areas * (xi**p / p + g * xi)) - load @ u)
+    return lower, upper
 
 
 def gradient_fd(mesh, u, p, g, gamma, f, step=1e-7):

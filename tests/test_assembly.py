@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hbflow import assembly
 from hbflow.assembly import (
@@ -13,7 +14,7 @@ from hbflow.assembly import (
     expand_dirichlet,
     gradient_magnitudes,
 )
-from hbflow.huber import HuberParams, evaluate_gradient
+from hbflow.huber import HuberParams, dual_field, evaluate_gradient
 from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
 from hbflow.solver import LinearConfig, SolverConfig, continuation_solve, solve
 import oracles
@@ -68,22 +69,21 @@ def test_gradient_magnitudes_is_hypot(square2, rng):
 def test_local_stiffness_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     m = make_mesh(verts, np.array([[0, 1, 2]]))
-    a = assemble_weighted_stiffness(m, np.ones(1), gradient=oracles.full_gradient(m))
+    a = assembly._StiffnessPattern(oracles.full_gradient(m)).assemble(m.areas)
     assert np.allclose(a.toarray(), LOCAL_STIFFNESS, atol=1e-14)
 
 
 def test_five_point_stencil_value():
     # on cells cut along one diagonal the P1 Laplacian is the 5-point stencil: diagonal 4
     m = build_unit_square_mesh(2)
-    a = assemble_weighted_stiffness(m, np.ones(m.triangles.shape[0]),
-                                    gradient=build_discrete_gradient(m))
+    a = assemble_weighted_stiffness(m, np.ones(m.triangles.shape[0]))
     assert a.shape == (1, 1)
     assert a[0, 0] == pytest.approx(4.0, rel=1e-13)
 
 
 def test_stiffness_symmetry_and_psd(square4, rng):
     w = rng.uniform(0.5, 2.0, square4.triangles.shape[0])
-    a = assemble_weighted_stiffness(square4, w, gradient=build_discrete_gradient(square4))
+    a = assemble_weighted_stiffness(square4, w)
     assert (a - a.T).nnz == 0
     for _ in range(5):
         x = rng.standard_normal(a.shape[0])
@@ -93,31 +93,49 @@ def test_stiffness_symmetry_and_psd(square4, rng):
 def test_stiffness_linearity_in_weights(square3, rng):
     w1 = rng.uniform(0.1, 1.0, square3.triangles.shape[0])
     w2 = rng.uniform(0.1, 1.0, square3.triangles.shape[0])
-    g = build_discrete_gradient(square3)
-    a1 = assemble_weighted_stiffness(square3, w1, gradient=g)
-    a2 = assemble_weighted_stiffness(square3, w2, gradient=g)
-    a12 = assemble_weighted_stiffness(square3, w1 + w2, gradient=g)
+    a1 = assemble_weighted_stiffness(square3, w1)
+    a2 = assemble_weighted_stiffness(square3, w2)
+    a12 = assemble_weighted_stiffness(square3, w1 + w2)
     assert abs(a12 - (a1 + a2)).max() < 1e-12
 
 
-def test_stiffness_accepts_precomputed_gradient(square3):
+def test_gradient_is_built_once_per_mesh(square3):
     g = build_discrete_gradient(square3)
-    w = np.ones(square3.triangles.shape[0])
-    a = assemble_weighted_stiffness(square3, w, gradient=g)
-    assert _bits_equal(a, assemble_weighted_stiffness(square3, w, gradient=g))
-    # G is required: a call that omits it would build a new G and plan
-    with pytest.raises(TypeError):
-        assemble_weighted_stiffness(square3, w)
+    assert build_discrete_gradient(square3) is g
+    assert build_discrete_gradient(build_unit_square_mesh(3)) is not g
+
+
+def test_two_stiffness_assemblies_build_one_gradient_and_one_plan(pattern_builds):
+    m = build_unit_square_mesh(3)
+    w = np.ones(m.num_triangles)
+    a = assemble_weighted_stiffness(m, w)
+    assert _bits_equal(a, assemble_weighted_stiffness(m, w))
+    # a G built per call would need a plan per call
+    assert pattern_builds == [id(build_discrete_gradient(m))]
+
+
+def test_evaluators_refuse_a_gradient(square3):
+    # the mesh is the only way in: no call can pair it with another mesh's G
+    g, load = build_discrete_gradient(square3), assemble_load_vector(square3, 1.0)
+    w, u = np.ones(square3.num_triangles), np.zeros(g.shape[1])
+    params, xi = HuberParams(p=1.5, g=0.2, gamma=10.0), gradient_magnitudes(g, u)
+    calls = [lambda: assemble_weighted_stiffness(square3, w, gradient=g),
+             lambda: assembly.apply_weighted_stiffness(square3, w, u, gradient=g),
+             lambda: evaluate_gradient(square3, g, u, params, load, xi=xi),
+             lambda: dual_field(g, u, params, xi=xi)]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_stiffness_rejects_bad_weights(square3):
-    nt, g = square3.triangles.shape[0], build_discrete_gradient(square3)
+    nt = square3.triangles.shape[0]
     with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, -np.ones(nt), gradient=g)
+        assemble_weighted_stiffness(square3, -np.ones(nt))
     with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, np.full(nt, np.nan), gradient=g)
+        assemble_weighted_stiffness(square3, np.full(nt, np.nan))
     with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, np.ones(nt - 1), gradient=g)
+        assemble_weighted_stiffness(square3, np.ones(nt - 1))
 
 
 def test_load_vector_lumped_quadrature(square4):
@@ -152,11 +170,14 @@ def _single_triangle():
     return make_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
 
-def _two_triangles(nv):
-    """The unit square's two triangles among nv vertices; the nv - 4 others touch none."""
-    vertices = np.zeros((nv, 2))
-    vertices[:4] = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    return make_mesh(vertices, np.array([[0, 1, 2], [0, 2, 3]]))
+def _two_triangles():
+    return make_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                     np.array([[0, 1, 2], [0, 2, 3]]))
+
+
+def _wide(g, ncols):
+    """g with ncols columns, the added ones empty."""
+    return sp.csr_matrix((g.data, g.indices, g.indptr), shape=(g.shape[0], ncols))
 
 
 @pytest.mark.parametrize("mesh", [
@@ -164,24 +185,30 @@ def _two_triangles(nv):
     *[pytest.param(("square", n), id=f"square{n}") for n in (1, 2, 3, 8)],
     pytest.param(("triangle", 0), id="triangle"),
     # n = 50,000 columns, so the entry keys i * n + j need int64; the
-    # interior-only gradient's columns are the untouched vertices: it has no entry
+    # columns past the square's four corners are empty
     pytest.param(("wide", 50_000), id="wide-keys"),
 ])
 def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
     kind, size = mesh
     m = {"disk": build_unit_disk_mesh, "square": build_unit_square_mesh,
-         "wide": _two_triangles}.get(kind, lambda _: _single_triangle())(size)
+         "wide": lambda _: _two_triangles()}.get(kind, lambda _: _single_triangle())(size)
     nt = m.num_triangles
     spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
     spread[rng.random(nt) < 0.3] = 0.0
     spread[0] = 0.0
     weights = [np.ones(nt), spread, rng.uniform(0.5, 2.0, nt), np.zeros(nt)]
-    gradients = [oracles.full_gradient(m)]
+    full = oracles.full_gradient(m)
+    if kind == "wide":
+        full = _wide(full, size)
+    # a plan on a G other than the mesh's, and the mesh's own G through the public call
+    plan = assembly._StiffnessPattern(full)
+    assemblies = [(full, lambda w: plan.assemble(w * m.areas))]
     if m.num_interior:
-        gradients.append(build_discrete_gradient(m))
-    for g in gradients:
+        assemblies.append((build_discrete_gradient(m),
+                           lambda w: assemble_weighted_stiffness(m, w)))
+    for g, assemble in assemblies:
         for w in weights:
-            got = assemble_weighted_stiffness(m, w, gradient=g)
+            got = assemble(w)
             assert _bits_equal(got, oracles.weighted_stiffness(m, w, g))
             assert got.has_sorted_indices
 
@@ -206,12 +233,12 @@ def test_gradient_bits_equal_the_sparse_product(request, rng, mesh, p, g, gamma)
     xi = gradient_magnitudes(gradient, u)
     assert np.any(params.plaplacian_weight(xi) == 0.0)
     if mesh.startswith("square"):   # the Huber weight is positive: zeros from geometry
-        plan = assembly._stiffness_pattern(gradient)
-        assert np.any(plan.values(gradient, params.huber_weight(xi) * m.areas) == 0.0)
+        plan = assembly._stiffness_pattern(m)
+        assert np.any(plan.values(params.huber_weight(xi) * m.areas) == 0.0)
     a_u = oracles.weighted_stiffness(m, params.plaplacian_weight(xi), gradient)
     a_max = oracles.weighted_stiffness(m, params.huber_weight(xi), gradient)
     want = a_u @ u + a_max @ u - load
-    got = evaluate_gradient(m, gradient, u, params, load, xi=xi)
+    got = evaluate_gradient(m, u, params, load, xi=xi)
     assert np.all(np.isfinite(want))
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -222,49 +249,45 @@ def test_pattern_apply_bits_equal_the_assembled_product(request, rng, mesh):
     nt = m.num_triangles
     spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
     spread[rng.random(nt) < 0.3] = 0.0
-    for g in (build_discrete_gradient(m), oracles.full_gradient(m)):
-        plan = assembly._stiffness_pattern(g)
-        u = rng.standard_normal(g.shape[1])
+    for plan in (assembly._stiffness_pattern(m),
+                 assembly._StiffnessPattern(oracles.full_gradient(m))):
+        u = rng.standard_normal(plan.shape[1])
         u[rng.random(u.size) < 0.2] = 0.0
         for d in (m.areas, spread * m.areas, np.zeros(nt)):
-            values = plan.values(g, d)
-            A = plan.assemble(g, d)
+            values = plan.values(d)
+            A = plan.assemble(d)
             assert values.size == plan.indices.size >= A.nnz
             assert np.array_equal(values[values != 0.0], A.data)
             want = A @ u
-            assert np.array_equal(plan.apply(g, d, u).view(np.int64), want.view(np.int64))
+            assert np.array_equal(plan.apply(d, u).view(np.int64), want.view(np.int64))
         with pytest.raises(AssemblyError):
-            plan.apply(g, m.areas, u[:-1])
+            plan.apply(m.areas, u[:-1])
 
 
-def test_plan_rejects_another_gradient_and_a_wrong_d(square3, square4):
-    g = build_discrete_gradient(square4)
-    plan, d, u = assembly._stiffness_pattern(g), square4.areas, np.ones(g.shape[1])
-    pruned = g.copy()
-    pruned.data[0] = 0.0
-    pruned.eliminate_zeros()        # same shape, one slot fewer
-    others = (build_discrete_gradient(square3), oracles.full_gradient(square4), pruned)
-    for other in others:
-        with pytest.raises(AssemblyError):
-            plan.values(other, d)
-        with pytest.raises(AssemblyError):
-            plan.apply(other, d, u)
+def test_plan_rejects_a_wrong_d_or_u(square4):
+    plan, d = assembly._stiffness_pattern(square4), square4.areas
+    u = np.ones(square4.num_interior)
     for bad in (d[:-1], np.append(d, 1.0), d[:, None]):
         with pytest.raises(AssemblyError):
-            plan.values(g, bad)
+            plan.values(bad)
         with pytest.raises(AssemblyError):
-            plan.apply(g, bad, u)
+            plan.apply(bad, u)
+    for bad in (u[:-1], np.append(u, 1.0), u[:, None]):
+        with pytest.raises(AssemblyError, match="^u shape "):
+            plan.apply(d, bad)
 
 
 def test_plan_keeps_int32_indices_and_at_most_28_bytes_per_term(square16):
-    plan = assembly._stiffness_pattern(build_discrete_gradient(square16))
+    plan = assembly._stiffness_pattern(square16)
     terms = plan.term_indices.size
     assert terms < 2**31
     for name in ("indices", "indptr", "term_indices", "term_indptr"):
         assert getattr(plan, name).dtype == np.int32, name
     assert all(x.flags.c_contiguous for x in plan.term_data)   # else each call copies them
+    # gradient_data is G's own values, not a copy: G holds them with or without a plan
+    assert np.shares_memory(plan.gradient_data, build_discrete_gradient(square16).data)
     resident = sum(x.nbytes for x in (*vars(plan).values(), *plan.term_data)
-                   if isinstance(x, np.ndarray))
+                   if isinstance(x, np.ndarray) and x is not plan.gradient_data)
     assert resident <= 28 * terms
 
 
@@ -272,17 +295,17 @@ def test_gradient_assembles_no_matrix(square16, rng, monkeypatch):
     calls = []
     assemble = assembly._StiffnessPattern.assemble
 
-    def counting(self, gradient, d):
+    def counting(self, d):
         calls.append(1)
-        return assemble(self, gradient, d)
+        return assemble(self, d)
 
     monkeypatch.setattr(assembly._StiffnessPattern, "assemble", counting)
     params = HuberParams(p=4.0, g=0.2, gamma=50.0)
     gradient, load = build_discrete_gradient(square16), assemble_load_vector(square16, 1.0)
     u = rng.standard_normal(gradient.shape[1])
-    evaluate_gradient(square16, gradient, u, params, load, xi=gradient_magnitudes(gradient, u))
+    evaluate_gradient(square16, u, params, load, xi=gradient_magnitudes(gradient, u))
     assert calls == []
-    assemble_weighted_stiffness(square16, np.ones(square16.num_triangles), gradient=gradient)
+    assemble_weighted_stiffness(square16, np.ones(square16.num_triangles))
     assert calls == [1]     # the counter sees a real assembly
 
 
@@ -300,63 +323,45 @@ def pattern_builds(monkeypatch):
     return built
 
 
-def test_pattern_is_built_once_per_solve(square16, pattern_builds):
+# each builds its own mesh: a session fixture's may already hold its G and plan
+
+def test_pattern_is_built_once_per_solve(pattern_builds):
     cfg = SolverConfig(p=1.5, g=0.2, gamma=1e3, max_iters=30)
-    out = solve(square16, cfg, 1.0)
+    out = solve(build_unit_square_mesh(16), cfg, 1.0)
     assert out.iterations == 30      # 1 + 3 x 30 assemblies
     assert len(pattern_builds) == 1
 
 
-def test_pattern_is_built_once_per_ladder(square16, pattern_builds):
+def test_pattern_is_built_once_per_ladder(pattern_builds):
     cfg = SolverConfig(p=4.0, g=0.2, gamma=1e3, max_iters=5,
                        linear=LinearConfig(method="direct"))
-    stages = continuation_solve(square16, cfg, 3.0, gamma_start=10.0, gamma_end=1e3)
+    stages = continuation_solve(build_unit_square_mesh(16), cfg, 3.0,
+                                gamma_start=10.0, gamma_end=1e3)
     assert len(stages) == 3
     assert len(pattern_builds) == 1
 
 
-def test_pattern_lives_as_long_as_its_gradient(square4, pattern_builds):
-    g = build_discrete_gradient(square4)
+def test_pattern_lives_as_long_as_its_mesh(pattern_builds):
+    m = build_unit_square_mesh(4)
     for _ in range(3):
-        assemble_weighted_stiffness(square4, np.ones(square4.num_triangles), gradient=g)
+        assemble_weighted_stiffness(m, np.ones(m.num_triangles))
     assert len(pattern_builds) == 1
-    pattern = weakref.ref(assembly._stiffness_pattern(g))
-    del g
+    gradient = weakref.ref(build_discrete_gradient(m))
+    pattern = weakref.ref(assembly._stiffness_pattern(m))
+    del m
     gc.collect()
-    assert pattern() is None
+    assert gradient() is None and pattern() is None
 
 
 def test_gradient_a_plan_reads_is_read_only(square4):
-    # the plan holds copies of G's values: G edited in place would make it stale
+    # the plan reads G's values: G edited in place would make it stale
     weights, built = np.ones(square4.num_triangles), build_discrete_gradient(square4)
-    A = assemble_weighted_stiffness(square4, weights, gradient=built)
+    A = assemble_weighted_stiffness(square4, weights)
     with pytest.raises(ValueError, match="read-only"):
         built.data *= 2.0
-    again = assemble_weighted_stiffness(square4, weights, gradient=built)
+    again = assemble_weighted_stiffness(square4, weights)
     assert all(np.array_equal(getattr(again, name), getattr(A, name))
                for name in ("data", "indices", "indptr"))
-    other = oracles.full_gradient(square4)
-    assembly._stiffness_pattern(other)
-    for g in (built, other):
-        for arr in (g.data, g.indices, g.indptr):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0] = arr[0]
-
-
-def test_stiffness_rejects_mismatched_gradient(square3, square4):
-    with pytest.raises(ValueError):
-        assemble_weighted_stiffness(square3, np.ones(square3.num_triangles),
-                                    gradient=build_discrete_gradient(square4))
-    g = build_discrete_gradient(square3)
-    with pytest.raises(AssemblyError):
-        assemble_weighted_stiffness(square3, np.ones(square3.num_triangles),
-                                    gradient=g.tocsc())
-    # triangles 0 and 1 differ in a vertex: with their y rows swapped, rows t and
-    # t + nt of each hold different columns
-    nt = square3.num_triangles
-    rows = np.arange(2 * nt)
-    rows[[nt, nt + 1]] = rows[[nt + 1, nt]]
-    swapped = oracles.full_gradient(square3)[rows]
-    assert swapped.format == "csr"
-    with pytest.raises(AssemblyError, match=r"^gradient rows t and t \+ nt must share at most 3 "):
-        assemble_weighted_stiffness(square3, np.ones(nt), gradient=swapped)
+    for arr in (built.data, built.indices, built.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[0]

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
-from hbflow.assembly import gradient_magnitudes
+from hbflow.assembly import build_discrete_gradient, gradient_magnitudes
 from hbflow.mesh import make_mesh
 from conftest import problem_arrays
 import oracles
@@ -142,7 +142,7 @@ def test_gradient_matches_central_differences(square3, rng, p):
     xi = gradient_magnitudes(gradient, u)
     # differentiability guard: stay clear of the Huber kink on every triangle
     assert np.min(np.abs(gamma * xi - g)) > 1e-3 * g
-    got = evaluate_gradient(square3, gradient, u, params, load, xi=xi)
+    got = evaluate_gradient(square3, u, params, load, xi=xi)
     want = oracles.gradient_fd(square3, u, p, g, gamma, f)
     assert np.max(np.abs(got - want)) < 1e-6
 
@@ -152,8 +152,7 @@ def test_gradient_at_zero_is_minus_load(square4, p):
     params = HuberParams(p=p, g=0.2, gamma=1000.0)
     gradient, load = problem_arrays(square4)
     u = np.zeros(square4.num_interior)
-    grad = evaluate_gradient(square4, gradient, u, params, load,
-                             xi=gradient_magnitudes(gradient, u))
+    grad = evaluate_gradient(square4, u, params, load, xi=gradient_magnitudes(gradient, u))
     assert np.array_equal(grad, -load)
 
 
@@ -165,23 +164,25 @@ def test_objective_overflow_is_inf_not_nan(square2):
     assert np.isinf(val) and val > 0
 
 
-def test_dual_field_single_triangle():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = make_mesh(verts, np.array([[0, 1, 2]]))
-    gradient = oracles.full_gradient(mesh)
+def test_dual_field_on_a_four_triangle_star():
+    # the hat of the one interior vertex, the origin, has slope (-+1, -+1) on each triangle
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    mesh = make_mesh(verts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]))
+    slopes = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+    gradient = build_discrete_gradient(mesh)
     params = HuberParams(p=1.5, g=1.0, gamma=10.0)
 
-    # grad u = (1e-3, 0): inactive, w = gamma * grad u
-    u = np.array([0.0, 1e-3, 0.0])
-    dual = dual_field(gradient, u, params, xi=gradient_magnitudes(gradient, u))
-    assert np.allclose(dual.w, [[1e-2, 0.0]], atol=1e-18)
-    assert not dual.active[0]
+    # |grad u| = 1e-3 sqrt(2): inactive, w = gamma * grad u
+    u = np.array([1e-3])
+    dual = dual_field(mesh, u, params, xi=gradient_magnitudes(gradient, u))
+    assert np.allclose(dual.w, 1e-2 * slopes, atol=1e-18)
+    assert not dual.active.any()
 
-    # grad u = (1, 0): active, w sits on the bound |w| = g
-    u = np.array([0.0, 1.0, 0.0])
-    dual = dual_field(gradient, u, params, xi=gradient_magnitudes(gradient, u))
-    assert np.allclose(dual.w, [[1.0, 0.0]], atol=1e-15)
-    assert dual.active[0]
+    # |grad u| = sqrt(2): active, w sits on the bound |w| = g
+    u = np.array([1.0])
+    dual = dual_field(mesh, u, params, xi=gradient_magnitudes(gradient, u))
+    assert np.allclose(dual.w, slopes / np.sqrt(2.0), atol=1e-15)
+    assert dual.active.all()
 
 
 def test_evaluators_require_xi(square2):
@@ -189,8 +190,8 @@ def test_evaluators_require_xi(square2):
     gradient, load = problem_arrays(square2)
     u = np.zeros(square2.num_interior)
     calls = [lambda: evaluate_objective(square2, u, params, load),
-             lambda: evaluate_gradient(square2, gradient, u, params, load),
-             lambda: dual_field(gradient, u, params)]
+             lambda: evaluate_gradient(square2, u, params, load),
+             lambda: dual_field(square2, u, params)]
     for call in calls:
         with pytest.raises(TypeError, match="required keyword-only argument: 'xi'"):
             call()
@@ -202,7 +203,7 @@ def test_dual_field_bound_and_consistency(square3, rng):
     gradient, _ = problem_arrays(square3)
     u = 0.5 * rng.standard_normal(square3.num_interior)
     xi = gradient_magnitudes(gradient, u)
-    dual = dual_field(gradient, u, params, xi=xi)
+    dual = dual_field(square3, u, params, xi=xi)
     wmag = np.hypot(dual.w[:, 0], dual.w[:, 1])
     assert np.all(wmag <= g + 1e-12)
     assert np.array_equal(dual.active, gamma * xi >= g)

@@ -4,14 +4,13 @@ import scipy.sparse as sp
 
 import hbflow.linalg
 
-from hbflow.assembly import assemble_weighted_stiffness, build_discrete_gradient
+from hbflow.assembly import assemble_weighted_stiffness
 from hbflow.linalg import LinearSolveError, LinearSolveRangeError, factorize_spd, solve_spd
 import oracles
 
 
 def poisson_matrix(mesh):
-    return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]),
-                                       gradient=build_discrete_gradient(mesh))
+    return assemble_weighted_stiffness(mesh, np.ones(mesh.triangles.shape[0]))
 
 
 def factor_for(method, A):
@@ -119,10 +118,9 @@ def test_solve_rejects_a_tol_that_is_not_finite_and_positive(square4, no_cg):
 
 
 def pcg_system(mesh, rng, weights=None):
-    gradient = build_discrete_gradient(mesh)
     if weights is None:
         weights = np.ones(mesh.num_triangles)
-    A = assemble_weighted_stiffness(mesh, weights, gradient=gradient)
+    A = assemble_weighted_stiffness(mesh, weights)
     return A, rng.standard_normal(A.shape[0])
 
 

@@ -176,6 +176,11 @@ def test_delaunay_mesh_matches_the_oracle_bit_for_bit(seed, size, scale):
            - (v[:, 2, 0] - v[:, 0, 0]) * (v[:, 1, 1] - v[:, 0, 1]))
     triangles[det < 0] = triangles[det < 0][:, ::-1]     # counterclockwise
     assume(np.all(mesh_geometry(vertices, triangles)[1] > 0.0))
+    left_out = np.setdiff1d(np.arange(size), triangles)     # Qhull may drop a point
+    if left_out.size:
+        with pytest.raises(MeshError, match=rf"^vertex {left_out[0]} is on no triangle$"):
+            make_mesh(vertices, triangles)
+        return
     mesh = make_mesh(vertices, triangles)
     assert_matches_oracle(mesh, mesh)
 
@@ -207,6 +212,22 @@ def test_make_mesh_rejects_bad_input():
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [float(x), 1.0], [0.3, 0.3]])
         with pytest.raises(MeshError, match=rf"^vertex 2 is not finite: \({x}, 1\.0\)$"):
             make_mesh(corners, star)
+    # a vertex that no triangle uses would be an unknown with an all-zero G column
+    square = build_unit_square_mesh(4)
+    with pytest.raises(MeshError, match=r"^vertex 25 is on no triangle$"):
+        make_mesh(np.vstack([square.vertices, [[0.5, 0.55]]]), square.triangles)
+    with pytest.raises(MeshError, match=r"^vertex 1 is on no triangle$"):
+        make_mesh(fan[:4], np.array([[0, 3, 2]]))
+    # int64 indices only: no truncated float, no NaN or inf, no parsed text
+    for bad, shown in (([[0, 1, 2.9]], "2.9"), ([[0, 1, 2], [1, 3, 2.5]], "2.5"),
+                       ([[0, 1, np.nan]], "nan"), ([[0, 1, np.inf]], "inf")):
+        with pytest.raises(MeshError, match=rf"^triangle index {shown} is not an int64$"):
+            make_mesh(np.vstack([verts, [[1.0, 1.0]]]), bad)
+    for bad in ([["0", "1", "2"]], [[0, 1, None]]):
+        with pytest.raises(MeshError, match=r"^triangle indices must be integers, got dtype "):
+            make_mesh(verts, bad)
+    for good in (np.array([[0, 1, 2]], dtype=np.int32), [[0.0, 1.0, 2.0]]):
+        assert make_mesh(verts, good).triangles.tolist() == [[0, 1, 2]]
 
 
 def test_boundary_flags_from_edge_counts():

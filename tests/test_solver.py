@@ -109,15 +109,40 @@ def test_disk_plug_matches_the_exact_radius(disk_solves):
     assert band[2] < band[1], band
 
 
+def test_disk_dual_bracket_holds_the_exact_unregularized_j(disk_solves):
+    # c01's flow solved at gamma = 1e3 on level 4, whose J is 6.4e-3 from the
+    # exact one (docs/c01_target.md): both ends of the gamma = inf bracket
+    # lie within twice that of the exact J at gamma = inf
+    j_inf = oracles.radial_solution(1.75, 0.2, 1.0, np.inf)[2]
+    mesh, out = disk_solves[1]
+    lower, upper = oracles.dual_bracket(mesh, out.u, 1.75, 0.2, 1e3, 1.0)
+    assert lower <= upper
+    for bound in (lower, upper):
+        assert abs(bound - j_inf) <= 2.0 * 6.4e-3 * abs(j_inf), (lower, upper, j_inf)
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_projected_flux_balances_the_load_and_brackets_the_minimum(p):
+    mesh, g, gamma, f = build_unit_square_mesh(8), 0.2, 1e3, 3.0
+    cfg = SolverConfig(p=p, g=g, gamma=gamma, max_iters=500, linear=LinearConfig("direct"))
+    out = solve(mesh, cfg, f)
+    assert out.converged
+    assert oracles.projected_flux(mesh, out.u, p, g, gamma, f)[1] < 1e-8
+    lower, upper = oracles.dual_bracket(mesh, out.u, p, g, gamma, f)
+    assert lower <= upper
+    # the regularized minimum lies at most g^2 |Omega| / (2 gamma) below it, |Omega| = 1
+    assert lower - g * g / (2.0 * gamma) <= out.final_objective <= upper
+
+
 def test_descent_direction_continuous_across_p2(square4, rng):
     gradient, load = problem_arrays(square4)
-    problem = _Problem(square4, gradient, load, LinearConfig())
+    problem = _Problem(square4, load, LinearConfig())
     u = 0.3 * rng.standard_normal(square4.num_interior)
 
     def direction(p):
         params = HuberParams(p=p, g=0.2, gamma=10.0)
         xi = gradient_magnitudes(gradient, u)
-        grad = evaluate_gradient(square4, gradient, u, params, load, xi=xi)
+        grad = evaluate_gradient(square4, u, params, load, xi=xi)
         return problem.descent_direction(xi, params, grad)[0]
 
     w_thin = direction(1.999)   # weighted stiffness preconditioner
@@ -275,7 +300,7 @@ def test_continuation_keeps_only_the_last_dual(square16):
     assert [outcome.dual for _, outcome in stages[:-1]] == [None, None]
     gamma, last = stages[-1]
     gradient = build_discrete_gradient(square16)
-    dual = dual_field(gradient, last.u, dataclasses.replace(cfg, gamma=gamma).huber_params(),
+    dual = dual_field(square16, last.u, dataclasses.replace(cfg, gamma=gamma).huber_params(),
                       xi=gradient_magnitudes(gradient, last.u))
     for name in ("w", "active", "xi"):
         assert np.array_equal(getattr(last.dual, name), getattr(dual, name)), name
@@ -425,13 +450,13 @@ def test_solve_computes_xi_once_per_point(square16, hypot_calls, p, method):
     params = cfg.huber_params()
     u0 = solve(square16, dataclasses.replace(cfg, max_iters=0), f).u
     xi0 = gradient_magnitudes(gradient, u0)
-    grad0 = evaluate_gradient(square16, gradient, u0, params, load, xi=xi0)
+    grad0 = evaluate_gradient(square16, u0, params, load, xi=xi0)
     assert out.grad0_norm == float(np.linalg.norm(grad0))
     assert out.objective0 == evaluate_objective(square16, u0, params, load, xi=xi0)
     xi = gradient_magnitudes(gradient, out.u)
-    grad = evaluate_gradient(square16, gradient, out.u, params, load, xi=xi)
+    grad = evaluate_gradient(square16, out.u, params, load, xi=xi)
     assert out.final_rel_residual == float(np.linalg.norm(grad)) / out.grad0_norm
-    dual = dual_field(gradient, out.u, params, xi=xi)
+    dual = dual_field(square16, out.u, params, xi=xi)
     for name in ("w", "active", "xi"):
         assert np.array_equal(getattr(out.dual, name), getattr(dual, name)), name
 
