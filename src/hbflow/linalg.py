@@ -3,8 +3,8 @@
 A factor means a direct solve: :func:`solve_spd` solves with the factor it is
 given, and without one runs conjugate gradients with a Jacobi (diagonal)
 preconditioner at a tight relative tolerance (Saad, *Iterative Methods for
-Sparse Linear Systems*, 2003, Alg. 9.1). The solver's ``_Problem`` decides
-which systems get a factor and builds each with :func:`factorize_spd`.
+Sparse Linear Systems*, 2003, Alg. 9.1). ``hbflow.solver`` decides which
+systems get a factor and builds each with :func:`factorize_spd`.
 Every solve verifies its own residual with an independent product ``A @ x``
 before returning.
 

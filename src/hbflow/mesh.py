@@ -26,7 +26,8 @@ class Mesh:
 
     Instances are immutable after construction (all arrays are marked
     read-only), so a mesh can be shared freely between solver runs, which
-    share the discrete gradient ``hbflow.assembly`` keeps on it.
+    share the discrete gradient ``hbflow.assembly`` keeps on it and, for
+    p >= 2, the factored Laplacian ``hbflow.solver`` keeps on it.
 
     Attributes
     ----------
@@ -109,6 +110,13 @@ def _edges(triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.column_stack([low[first], high[first]]), side_edge.reshape(-1, 3), counts
 
 
+def _rectangular(values, name: str) -> np.ndarray:
+    try:
+        return np.asarray(values)
+    except ValueError:      # numpy's inhomogeneous-shape error
+        raise MeshError(f"{name} must be a rectangular array, not a ragged list") from None
+
+
 def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     """Assemble a :class:`Mesh` from raw arrays.
 
@@ -118,14 +126,17 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     Raises
     ------
     MeshError
-        If a vertex coordinate is not finite, a triangle index is not an
-        integer, a vertex is on no triangle, any triangle has non-positive
-        area (wrong orientation or degenerate geometry), an edge lies on
-        more than two triangles or has two on one side (a fold or a repeated
-        triangle), or the arrays have inconsistent shapes.
+        If either input is ragged, a vertex coordinate is not a finite
+        number, a triangle index is not an integer, a vertex is on no
+        triangle, any triangle has non-positive area (wrong orientation or
+        degenerate geometry), an edge lies on more than two triangles or has
+        two on one side (a fold or a repeated triangle), or the arrays have
+        inconsistent shapes.
     """
-    vertices = np.ascontiguousarray(vertices, dtype=np.float64)
-    indices = np.asarray(triangles)
+    coords, indices = _rectangular(vertices, "vertices"), _rectangular(triangles, "triangles")
+    if coords.dtype.kind not in "biuf":
+        raise MeshError(f"vertex coordinates must be numbers, got dtype {coords.dtype}")
+    vertices = np.ascontiguousarray(coords, dtype=np.float64)
     if indices.dtype.kind not in "biuf":
         raise MeshError(f"triangle indices must be integers, got dtype {indices.dtype}")
     with np.errstate(invalid="ignore"):     # NaN, inf and huge values fail the test below

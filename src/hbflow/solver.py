@@ -8,10 +8,12 @@ direction, where the preconditioner depends on the flow index:
 * shear-thickening (p >= 2, including the Bingham case p = 2): P_k is the
   plain Laplacian stiffness matrix, the H^1_0 Riesz map.
 
-``_Problem`` assembles every system matrix. The Laplacian depends on neither
-gamma nor the iterate: for p >= 2 it is built and factored once per run or
-ladder and shared with the Poisson start. For p < 2 only that start uses it,
-and ``LinearConfig.method`` picks PCG or an LU factor for it and each P_k.
+The Laplacian depends on the mesh alone: for p >= 2 ``_laplacian`` builds
+and factors it once per mesh and keeps both on the mesh, beside its discrete
+gradient, so every run and continuation stage on that mesh, and its Poisson
+start, solve with one factor. For p < 2 only the Poisson start uses a
+Laplacian, built for it and dropped after, and ``LinearConfig.method`` picks
+PCG or an LU factor for it and each P_k.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -28,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,8 @@ class SolverConfig:
         if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, (int, np.integer))
                 or self.max_iters < 0):
             raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+        if not isinstance(self.linear, LinearConfig):
+            raise ValueError(f"linear must be a LinearConfig, got {self.linear!r}")
 
     def huber_params(self) -> HuberParams:
         return HuberParams(p=self.p, g=self.g, gamma=self.gamma, epsilon=self.epsilon)
@@ -122,54 +125,42 @@ class SolveOutcome:
         return self.history[-1].rel_residual
 
 
-@dataclass
-class _Problem:
-    """What stays fixed over a run or a continuation ladder: mesh, load,
-    linear solver settings, and, for p >= 2, built on first use, the
-    Laplacian and its LU factor, whatever the method. The mesh keeps its
-    discrete gradient and stiffness plan itself."""
+def _laplacian(mesh: Mesh):
+    """P_k for every p >= 2 iterate: the unit-weight stiffness and its LU
+    factor, whatever the method. Built on the first call for a mesh and kept
+    on it, as its discrete gradient is, so every run and ladder stage on the
+    mesh shares one factor and none can meet another mesh's."""
+    if not hasattr(mesh, "_hbflow_laplacian"):
+        A = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles))
+        mesh._hbflow_laplacian = A, factorize_spd(A)
+    return mesh._hbflow_laplacian
 
-    mesh: Mesh
-    load: np.ndarray
-    linear: LinearConfig
 
-    @classmethod
-    def build(cls, mesh: Mesh, f: float, linear: LinearConfig) -> _Problem:
-        load = assemble_load_vector(mesh, f)
-        with np.errstate(over="ignore"):    # an overflow is the error raised below
-            load_norm = float(np.linalg.norm(load))
-        if not np.isfinite(load_norm):      # ahead of the Poisson start, which solves for it
-            raise ValueError(f"||load|| is {load_norm}")
-        return cls(mesh, load, linear)
+def _weighted_system(mesh: Mesh, weights: np.ndarray, linear: LinearConfig):
+    """A p < 2 system: the weighted stiffness, with its LU factor for the direct method."""
+    A = assemble_weighted_stiffness(mesh, weights)
+    return A, factorize_spd(A) if linear.method == "direct" else None
 
-    def _system(self, weights: np.ndarray, direct: bool = False):
-        """Weighted stiffness, with its LU factor if ``direct`` or for the direct method."""
-        A = assemble_weighted_stiffness(self.mesh, weights)
-        return A, factorize_spd(A) if direct or self.linear.method == "direct" else None
 
-    @cached_property
-    def laplacian(self):
-        """P_k for every p >= 2 iterate, with its LU factor, kept for the run."""
-        return self._system(np.ones(self.mesh.num_triangles), direct=True)
+def _poisson_start(mesh: Mesh, load: np.ndarray, p: float, linear: LinearConfig) -> np.ndarray:
+    # for p < 2 no direction uses the Laplacian: the start builds its own and drops it
+    A, factor = (_laplacian(mesh) if p >= 2.0
+                 else _weighted_system(mesh, np.ones(mesh.num_triangles), linear))
+    return solve_spd(A, load, factor=factor)[0]
 
-    def poisson_start(self, p: float) -> np.ndarray:
-        # for p < 2 no direction uses the Laplacian: the start builds its own and drops it
-        A, factor = self.laplacian if p >= 2.0 else self._system(np.ones(self.mesh.num_triangles))
-        return solve_spd(A, self.load, factor=factor)[0]
 
-    def descent_direction(self, xi: np.ndarray, params: HuberParams, grad: np.ndarray):
-        """w solving P_k w = -J'(u), and P_k, given xi = |grad u| at the iterate u.
+def _descent_direction(mesh: Mesh, xi: np.ndarray, params: HuberParams, grad: np.ndarray,
+                       linear: LinearConfig):
+    """w solving P_k w = -J'(u), and P_k, given xi = |grad u| at the iterate u.
 
-        For p >= 2, P_k is the cached Laplacian, solved with its cached
-        factor whatever the method. For p < 2 it is the stiffness weighted by
-        (epsilon + xi)^(p-2), reassembled (and, for the direct method,
-        factored) on every call.
-        """
-        if params.p >= 2.0:
-            P, factor = self.laplacian
-        else:
-            P, factor = self._system(params.preconditioner_weight(xi))
-        return solve_spd(P, -grad, factor=factor)[0], P
+    For p >= 2, P_k is the mesh's Laplacian, solved with its kept factor
+    whatever the method. For p < 2 it is the stiffness weighted by
+    (epsilon + xi)^(p-2), reassembled (and, for the direct method,
+    factored) on every call.
+    """
+    P, factor = (_laplacian(mesh) if params.p >= 2.0
+                 else _weighted_system(mesh, params.preconditioner_weight(xi), linear))
+    return solve_spd(P, -grad, factor=factor)[0], P
 
 
 def solve(
@@ -177,8 +168,6 @@ def solve(
     config: SolverConfig,
     f: float,
     u0: np.ndarray | None = None,
-    *,
-    problem: _Problem | None = None,
 ) -> SolveOutcome:
     """Run the descent loop to the relative gradient-norm tolerance.
 
@@ -191,10 +180,6 @@ def solve(
     u0 : ndarray, optional
         Warm start; defaults to the Poisson solution. Continuation passes
         the previous stage's iterate here.
-    problem : optional
-        Internal: :func:`continuation_solve` passes the problem it prepared
-        from the same mesh, ``f`` and ``config.linear``, so that every
-        stage reuses one load and, for p >= 2, factored Laplacian.
 
     Notes
     -----
@@ -206,11 +191,14 @@ def solve(
     has its own normalizer.
     """
     params = config.huber_params()
-    if problem is None:
-        problem = _Problem.build(mesh, f, config.linear)
-    G, load = build_discrete_gradient(mesh), problem.load
+    load = assemble_load_vector(mesh, f)
+    with np.errstate(over="ignore"):    # an overflow is the error raised below
+        load_norm = float(np.linalg.norm(load))
+    if not np.isfinite(load_norm):      # ahead of the Poisson start, which solves for it
+        raise ValueError(f"||load|| is {load_norm}")
+    G = build_discrete_gradient(mesh)
     if u0 is None:
-        u = problem.poisson_start(params.p)
+        u = _poisson_start(mesh, load, params.p, config.linear)
     else:
         u = np.asarray(u0, dtype=np.float64).copy()
         if u.shape != load.shape:
@@ -238,7 +226,7 @@ def solve(
     failure = None
     j_curr = objective0
     for k in range(1, config.max_iters + 1):
-        w, P = problem.descent_direction(xi, params, grad)
+        w, P = _descent_direction(mesh, xi, params, grad, config.linear)
         dphi0 = float(grad @ w)
         quad = float(w @ (P @ w))
         identity_err = abs(dphi0 + quad) / max(abs(dphi0), np.finfo(float).tiny)
@@ -287,21 +275,20 @@ def continuation_solve(
     stage within 1e-12 of ``gamma_end``, so no stage passes it. A stage that
     merely exhausts max_iters still seeds the next stage with its best
     iterate; only a stage that died outright (line-search failure) aborts the
-    ladder, returning the partial history. The gradient, load, Laplacian and
-    its factor do not depend on gamma and are built once for the whole
-    ladder. Only the last stage keeps its dual field; a stage that seeds the
+    ladder, returning the partial history. The gradient and, for p >= 2, the
+    Laplacian and its factor do not depend on gamma: they are built once per
+    mesh, and the stages share them. Only the last stage keeps its dual field; a stage that seeds the
     next has ``dual=None``.
     """
     if not (np.isfinite([gamma_start, gamma_end]).all() and 0.0 < gamma_start <= gamma_end):
         raise ValueError(f"need finite gamma_start > 0 and gamma_end >= gamma_start, "
                          f"got {gamma_start}, {gamma_end}")
-    problem = _Problem.build(mesh, f, config.linear)
     stages: list[tuple[float, SolveOutcome]] = []
     gamma = gamma_start
     u = None
     while True:
         stage_cfg = dataclasses.replace(config, gamma=gamma)
-        outcome = solve(mesh, stage_cfg, f, u0=u, problem=problem)
+        outcome = solve(mesh, stage_cfg, f, u0=u)
         stages.append((gamma, outcome))
         if outcome.failure_reason is not None:
             break

@@ -228,6 +228,18 @@ def test_make_mesh_rejects_bad_input():
             make_mesh(verts, bad)
     for good in (np.array([[0, 1, 2]], dtype=np.int32), [[0.0, 1.0, 2.0]]):
         assert make_mesh(verts, good).triangles.tolist() == [[0, 1, 2]]
+    # vertex coordinates are numbers, not text that numpy would parse
+    for bad in ([["0", "0"], ["1", "0"], ["0", "1"]], [[0.0, 0.0], [1.0, 0.0], [0.0, "a"]],
+                [[0.0, 0.0], [1.0, 0.0], [0.0, None]]):
+        with pytest.raises(MeshError, match=r"^vertex coordinates must be numbers, got dtype "):
+            make_mesh(bad, [[0, 1, 2]])
+    # a ragged list is named as the input it is, not left to numpy's ValueError
+    with pytest.raises(MeshError, match=r"^vertices must be a rectangular array, not a ragged"):
+        make_mesh([[0.0, 0.0], [1.0, 0.0], [0.0]], [[0, 1, 2]])
+    with pytest.raises(MeshError, match=r"^triangles must be a rectangular array, not a ragged"):
+        make_mesh(verts, [[0, 1, 2], [0, 1]])
+    for good in ([[0, 0], [1, 0], [0, 1]], [[False, False], [True, False], [False, True]]):
+        assert make_mesh(good, [[0, 1, 2]]).areas.tolist() == [0.5]
 
 
 def test_boundary_flags_from_edge_counts():

@@ -19,7 +19,7 @@ from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
 from hbflow.solver import (
     LinearConfig,
     SolverConfig,
-    _Problem,
+    _descent_direction,
     continuation_solve,
     solve,
     wp_seminorm,
@@ -136,14 +136,13 @@ def test_projected_flux_balances_the_load_and_brackets_the_minimum(p):
 
 def test_descent_direction_continuous_across_p2(square4, rng):
     gradient, load = problem_arrays(square4)
-    problem = _Problem(square4, load, LinearConfig())
     u = 0.3 * rng.standard_normal(square4.num_interior)
 
     def direction(p):
         params = HuberParams(p=p, g=0.2, gamma=10.0)
         xi = gradient_magnitudes(gradient, u)
         grad = evaluate_gradient(square4, u, params, load, xi=xi)
-        return problem.descent_direction(xi, params, grad)[0]
+        return _descent_direction(square4, xi, params, grad, LinearConfig())[0]
 
     w_thin = direction(1.999)   # weighted stiffness preconditioner
     w_thick = direction(2.0)    # Laplacian preconditioner
@@ -259,6 +258,10 @@ def test_config_validation():
     for bad in ("gmres", "lu"):
         with pytest.raises(ValueError, match="linear method"):
             LinearConfig(method=bad)
+    # a method name in place of a LinearConfig: p >= 2 never reads it, p < 2 would fail late
+    for p in (4.0, 1.5):
+        with pytest.raises(ValueError, match=r"^linear must be a LinearConfig, got 'direct'$"):
+            SolverConfig(p=p, g=0.2, gamma=10.0, max_iters=3, linear="direct")
 
 
 def test_solve_iteration_cap_is_not_a_failure(square16):
@@ -353,27 +356,60 @@ DIRECT = LinearConfig(method="direct")
 
 
 @pytest.mark.parametrize("method", ["direct", "pcg"])
-def test_thickening_solve_factors_the_laplacian_once(square16, splu_calls, no_cg, method):
+def test_thickening_solve_factors_the_laplacian_once(splu_calls, no_cg, method):
+    mesh = build_unit_square_mesh(16)   # a fresh mesh, which keeps no factor yet
     cfg = SolverConfig(p=4.0, g=0.2, gamma=100.0, max_iters=5,
                        linear=LinearConfig(method=method))
-    out = solve(square16, cfg, 3.0)
+    out = solve(mesh, cfg, 3.0)
     assert out.iterations >= 2
     assert len(splu_calls) == 1      # the Poisson start and every iteration share it
+    # the factor stays on the mesh: a further solve, at another gamma, makes none
+    solve(mesh, dataclasses.replace(cfg, gamma=10.0), 3.0)
+    assert len(splu_calls) == 1
 
 
 @pytest.mark.parametrize("method", ["direct", "pcg"])
-def test_continuation_ladder_factors_the_laplacian_once(square16, splu_calls, no_cg, method):
+def test_continuation_ladder_factors_the_laplacian_once(splu_calls, no_cg, method):
+    mesh = build_unit_square_mesh(16)
     cfg = SolverConfig(p=4.0, g=0.2, gamma=1000.0, max_iters=4,
                        linear=LinearConfig(method=method))
-    stages = continuation_solve(square16, cfg, 3.0, gamma_start=10.0, gamma_end=1000.0)
+    stages = continuation_solve(mesh, cfg, 3.0, gamma_start=10.0, gamma_end=1000.0)
     assert [gamma for gamma, _ in stages] == [10.0, 100.0, 1000.0]
     assert len(splu_calls) == 1
-    # a stage run on its own, with its own factor, gives the same iterates
+    solve(mesh, cfg, 3.0, u0=stages[-1][1].u)       # a further solve shares it too
+    assert len(splu_calls) == 1
+    # a stage run on its own, on a new mesh with its own factor, gives the same iterates
     u = None
     for gamma, outcome in stages:
-        alone = solve(square16, dataclasses.replace(cfg, gamma=gamma), 3.0, u0=u)
+        alone = solve(build_unit_square_mesh(16), dataclasses.replace(cfg, gamma=gamma), 3.0,
+                      u0=u)
         assert np.array_equal(alone.u, outcome.u)
         u = outcome.u
+    assert len(splu_calls) == 1 + len(stages)
+
+
+def test_solve_takes_no_prepared_problem(square4):
+    with pytest.raises(TypeError):
+        solve(square4, SolverConfig(p=4.0, g=0.2, gamma=10.0, max_iters=1), 1.0,
+              problem=object())
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_a_solve_on_one_mesh_leaves_another_mesh_alone(first):
+    # the n = 4 square and its copy stretched x2 in x have the same unknowns
+    # and different Laplacians; each solve must use its own mesh's factor
+    def meshes():
+        square = build_unit_square_mesh(4)
+        return [square, make_mesh(square.vertices * [2.0, 1.0], square.triangles)]
+
+    cfg = SolverConfig(p=4.0, g=0.2, gamma=10.0, max_iters=3)
+    shared = meshes()
+    solve(shared[first], cfg, 1.0)
+    after = solve(shared[1 - first], cfg, 1.0)
+    alone = solve(meshes()[1 - first], cfg, 1.0)
+    assert repr(after.final_objective) == repr(alone.final_objective)
+    assert np.array_equal(after.u.view(np.int64), alone.u.view(np.int64))
+    assert after.final_objective != solve(shared[first], cfg, 1.0).final_objective
 
 
 def test_thickening_solve_is_the_same_under_either_method(square16):
@@ -393,8 +429,7 @@ def test_thinning_direct_solve_refactors_every_iteration(square16, splu_calls):
 
 
 @pytest.mark.parametrize("method", ["direct", "pcg"])
-def test_thinning_solve_drops_the_laplacian_after_the_start(square16, splu_calls,
-                                                            monkeypatch, method):
+def test_thinning_solve_drops_the_laplacian_after_the_start(splu_calls, monkeypatch, method):
     assembled = []
     real = hbflow.solver.assemble_weighted_stiffness
 
@@ -406,17 +441,18 @@ def test_thinning_solve_drops_the_laplacian_after_the_start(square16, splu_calls
     monkeypatch.setattr(hbflow.solver, "assemble_weighted_stiffness", recording)
     cfg = SolverConfig(p=1.5, g=0.2, gamma=100.0, max_iters=4,
                        linear=LinearConfig(method=method))
-    problem = _Problem.build(square16, 1.0, cfg.linear)
-    out = solve(square16, cfg, 1.0, problem=problem)
+    mesh = build_unit_square_mesh(16)
+    out = solve(mesh, cfg, 1.0)
     assert out.iterations == 4
     assert len(assembled) == 1 + out.iterations      # the Laplacian, then each P_k
     assert len(splu_calls) == (1 + out.iterations if method == "direct" else 0)
     # neither the Laplacian nor its factor outlives the Poisson start
-    assert "laplacian" not in vars(problem)
+    assert not hasattr(mesh, "_hbflow_laplacian")
     assert all(ref() is None for ref in assembled)
-    # p >= 2 keeps it for the directions
-    solve(square16, dataclasses.replace(cfg, p=4.0, max_iters=1), 1.0, problem=problem)
-    assert "laplacian" in vars(problem)
+    # p >= 2 keeps it on the mesh for the directions
+    solve(mesh, dataclasses.replace(cfg, p=4.0, max_iters=1), 1.0)
+    assert hasattr(mesh, "_hbflow_laplacian")
+    assert assembled[-1]() is mesh._hbflow_laplacian[0]
 
 
 @pytest.fixture
