@@ -24,10 +24,12 @@ class MeshError(ValueError):
 class Mesh:
     """Planar conforming triangulation with P1 metadata.
 
-    Instances are immutable after construction (all arrays are marked
-    read-only), so a mesh can be shared freely between solver runs, which
-    share the discrete gradient ``hbflow.assembly`` keeps on it and, for
-    p >= 2, the factored Laplacian ``hbflow.solver`` keeps on it.
+    Instances are immutable after construction: a mesh owns copies of its
+    inputs, so the caller's arrays stay writable and editing them changes
+    no mesh, and all its arrays are marked read-only. A mesh can be shared
+    freely between solver runs, which share the discrete gradient
+    ``hbflow.assembly`` keeps on it and, for p >= 2, the factored Laplacian
+    ``hbflow.solver`` keeps on it.
 
     Attributes
     ----------
@@ -136,11 +138,11 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     coords, indices = _rectangular(vertices, "vertices"), _rectangular(triangles, "triangles")
     if coords.dtype.kind not in "biuf":
         raise MeshError(f"vertex coordinates must be numbers, got dtype {coords.dtype}")
-    vertices = np.ascontiguousarray(coords, dtype=np.float64)
+    vertices = np.array(coords, dtype=np.float64, order="C", copy=True)   # the mesh's own
     if indices.dtype.kind not in "biuf":
         raise MeshError(f"triangle indices must be integers, got dtype {indices.dtype}")
     with np.errstate(invalid="ignore"):     # NaN, inf and huge values fail the test below
-        triangles = np.ascontiguousarray(indices, dtype=np.int64)
+        triangles = np.array(indices, dtype=np.int64, order="C", copy=True)
     changed = triangles != indices
     if np.any(changed):
         raise MeshError(f"triangle index {indices.flat[np.argmax(changed)]} is not an int64")

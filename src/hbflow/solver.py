@@ -8,12 +8,14 @@ direction, where the preconditioner depends on the flow index:
 * shear-thickening (p >= 2, including the Bingham case p = 2): P_k is the
   plain Laplacian stiffness matrix, the H^1_0 Riesz map.
 
-The Laplacian depends on the mesh alone: for p >= 2 ``_laplacian`` builds
-and factors it once per mesh and keeps both on the mesh, beside its discrete
-gradient, so every run and continuation stage on that mesh, and its Poisson
-start, solve with one factor. For p < 2 only the Poisson start uses a
-Laplacian, built for it and dropped after, and ``LinearConfig.method`` picks
-PCG or an LU factor for it and each P_k.
+One function, ``_preconditioned_solve``, picks P_k and solves with it, for
+the Poisson start (the Laplacian) and for every direction. The Laplacian
+depends on the mesh alone: for p >= 2 it is built and LU-factored on the
+first call for a mesh and kept on the mesh, beside its discrete gradient,
+so every run and continuation stage on that mesh, and its Poisson start,
+solve with one factor. For p < 2 the start's Laplacian is assembled like
+any weighted P_k, with unit weights, and dropped after the start, and
+``LinearConfig.method`` picks PCG or an LU factor for it and each P_k.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -125,42 +127,29 @@ class SolveOutcome:
         return self.history[-1].rel_residual
 
 
-def _laplacian(mesh: Mesh):
-    """P_k for every p >= 2 iterate: the unit-weight stiffness and its LU
-    factor, whatever the method. Built on the first call for a mesh and kept
-    on it, as its discrete gradient is, so every run and ladder stage on the
-    mesh shares one factor and none can meet another mesh's."""
-    if not hasattr(mesh, "_hbflow_laplacian"):
-        A = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles))
-        mesh._hbflow_laplacian = A, factorize_spd(A)
-    return mesh._hbflow_laplacian
+def _preconditioned_solve(mesh: Mesh, params: HuberParams, linear: LinearConfig,
+                          xi: np.ndarray | None, rhs: np.ndarray):
+    """x solving P_k x = rhs, and P_k, given xi = |grad u| at the iterate u,
+    or xi = None for the Poisson start.
 
-
-def _weighted_system(mesh: Mesh, weights: np.ndarray, linear: LinearConfig):
-    """A p < 2 system: the weighted stiffness, with its LU factor for the direct method."""
-    A = assemble_weighted_stiffness(mesh, weights)
-    return A, factorize_spd(A) if linear.method == "direct" else None
-
-
-def _poisson_start(mesh: Mesh, load: np.ndarray, p: float, linear: LinearConfig) -> np.ndarray:
-    # for p < 2 no direction uses the Laplacian: the start builds its own and drops it
-    A, factor = (_laplacian(mesh) if p >= 2.0
-                 else _weighted_system(mesh, np.ones(mesh.num_triangles), linear))
-    return solve_spd(A, load, factor=factor)[0]
-
-
-def _descent_direction(mesh: Mesh, xi: np.ndarray, params: HuberParams, grad: np.ndarray,
-                       linear: LinearConfig):
-    """w solving P_k w = -J'(u), and P_k, given xi = |grad u| at the iterate u.
-
-    For p >= 2, P_k is the mesh's Laplacian, solved with its kept factor
-    whatever the method. For p < 2 it is the stiffness weighted by
-    (epsilon + xi)^(p-2), reassembled (and, for the direct method,
-    factored) on every call.
+    For p >= 2, P_k is the mesh's Laplacian whatever xi, solved with its LU
+    factor whatever the method: both are built on the first call for a mesh
+    and kept on it, as its discrete gradient is, so every run and ladder
+    stage on the mesh shares one factor and none can meet another mesh's.
+    For p < 2, P_k is the stiffness weighted by (epsilon + xi)^(p-2), or by
+    ones for the start, reassembled (and, for the direct method, factored)
+    on every call.
     """
-    P, factor = (_laplacian(mesh) if params.p >= 2.0
-                 else _weighted_system(mesh, params.preconditioner_weight(xi), linear))
-    return solve_spd(P, -grad, factor=factor)[0], P
+    if params.p >= 2.0:
+        if not hasattr(mesh, "_hbflow_laplacian"):
+            A = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles))
+            mesh._hbflow_laplacian = A, factorize_spd(A)
+        P, factor = mesh._hbflow_laplacian
+    else:
+        P = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles) if xi is None
+                                        else params.preconditioner_weight(xi))
+        factor = factorize_spd(P) if linear.method == "direct" else None
+    return solve_spd(P, rhs, factor=factor)[0], P
 
 
 def solve(
@@ -197,8 +186,8 @@ def solve(
     if not np.isfinite(load_norm):      # ahead of the Poisson start, which solves for it
         raise ValueError(f"||load|| is {load_norm}")
     G = build_discrete_gradient(mesh)
-    if u0 is None:
-        u = _poisson_start(mesh, load, params.p, config.linear)
+    if u0 is None:      # for p < 2 the start's Laplacian is dropped with the tuple
+        u = _preconditioned_solve(mesh, params, config.linear, None, load)[0]
     else:
         u = np.asarray(u0, dtype=np.float64).copy()
         if u.shape != load.shape:
@@ -217,16 +206,13 @@ def solve(
         raise ValueError(f"||J'(u0)|| is {grad0_norm} at the start iterate")
     history: list[IterationRecord] = []
     all_trials: list[list[float]] = []
-
-    if grad0_norm == 0.0:
-        return SolveOutcome(u, history, True, dual_field(mesh, u, params, xi=xi),
-                            objective0, 0.0, all_trials)
-
-    converged = False
+    converged = grad0_norm == 0.0       # u_0 is the minimizer: no iteration runs
     failure = None
     j_curr = objective0
-    for k in range(1, config.max_iters + 1):
-        w, P = _descent_direction(mesh, xi, params, grad, config.linear)
+    k = 0
+    while not converged and k < config.max_iters:
+        k += 1
+        w, P = _preconditioned_solve(mesh, params, config.linear, xi, -grad)
         dphi0 = float(grad @ w)
         quad = float(w @ (P @ w))
         identity_err = abs(dphi0 + quad) / max(abs(dphi0), np.finfo(float).tiny)
@@ -251,9 +237,7 @@ def solve(
         rel = float(np.linalg.norm(grad)) / grad0_norm
         history.append(IterationRecord(k, rel, j_curr, result.alpha,
                                        result.backtracks, dphi0, identity_err))
-        if rel <= config.tol:
-            converged = True
-            break
+        converged = rel <= config.tol
 
     return SolveOutcome(u, history, converged, dual_field(mesh, u, params, xi=xi),
                         objective0, grad0_norm, all_trials, failure)
@@ -277,8 +261,8 @@ def continuation_solve(
     iterate; only a stage that died outright (line-search failure) aborts the
     ladder, returning the partial history. The gradient and, for p >= 2, the
     Laplacian and its factor do not depend on gamma: they are built once per
-    mesh, and the stages share them. Only the last stage keeps its dual field; a stage that seeds the
-    next has ``dual=None``.
+    mesh, and the stages share them. Only the last stage keeps its dual
+    field; a stage that seeds the next has ``dual=None``.
     """
     if not (np.isfinite([gamma_start, gamma_end]).all() and 0.0 < gamma_start <= gamma_end):
         raise ValueError(f"need finite gamma_start > 0 and gamma_end >= gamma_start, "

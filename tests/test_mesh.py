@@ -258,6 +258,22 @@ def test_arrays_are_read_only(square2):
             arr[0] = 0
 
 
+def test_make_mesh_owns_copies_of_its_inputs():
+    square = build_unit_square_mesh(4)
+    base = square.vertices.copy()
+    v, t = base[:], square.triangles.copy()     # contiguous float64 and int64, as a mesh keeps
+    mesh = make_mesh(v, t)
+    assert v.flags.writeable and t.flags.writeable
+    assert mesh.vertices is not v and mesh.triangles is not t
+    base *= 2.0         # the caller edits its array: the mesh and its geometry stay as built
+    t[0] = t[1]
+    assert mesh.vertices[5].tolist() == [0.0, 0.25]
+    assert mesh.areas[0] == 0.03125
+    assert np.array_equal(mesh.vertices, square.vertices)
+    assert np.array_equal(mesh.triangles, square.triangles)
+    assert np.array_equal(mesh.areas, square.areas)
+
+
 def test_mesh_equality_is_identity(square2):
     assert square2 == square2
     assert square2 != build_unit_square_mesh(2)

@@ -19,7 +19,7 @@ from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
 from hbflow.solver import (
     LinearConfig,
     SolverConfig,
-    _descent_direction,
+    _preconditioned_solve,
     continuation_solve,
     solve,
     wp_seminorm,
@@ -142,7 +142,7 @@ def test_descent_direction_continuous_across_p2(square4, rng):
         params = HuberParams(p=p, g=0.2, gamma=10.0)
         xi = gradient_magnitudes(gradient, u)
         grad = evaluate_gradient(square4, u, params, load, xi=xi)
-        return _descent_direction(square4, xi, params, grad, LinearConfig())[0]
+        return _preconditioned_solve(square4, params, LinearConfig(), xi, -grad)[0]
 
     w_thin = direction(1.999)   # weighted stiffness preconditioner
     w_thick = direction(2.0)    # Laplacian preconditioner
@@ -434,6 +434,8 @@ def test_thinning_solve_drops_the_laplacian_after_the_start(splu_calls, monkeypa
     real = hbflow.solver.assemble_weighted_stiffness
 
     def recording(*args, **kwargs):
+        if len(assembled) == 1:     # the first P_k: the start's Laplacian is already gone
+            assert assembled[0]() is None
         A = real(*args, **kwargs)
         assembled.append(weakref.ref(A))
         return A
