@@ -6,7 +6,9 @@ preconditioner at a tight relative tolerance (Saad, *Iterative Methods for
 Sparse Linear Systems*, 2003, Alg. 9.1). ``hbflow.solver`` decides which
 systems get a factor and builds each with :func:`factorize_spd`.
 Every solve verifies its own residual with an independent product ``A @ x``
-before returning.
+before returning, once after its last pass, and reports the energy
+``x @ (A @ x)`` from that same product: ``hbflow.solver`` reads the descent
+identity's w^T P_k w from it and never multiplies by P_k itself.
 
 The CG loop, :func:`_jacobi_cg`, is this module's own: it takes the steps of
 scipy 1.17.1's ``scipy.sparse.linalg.cg`` with a diagonal preconditioner in
@@ -30,6 +32,7 @@ class SpdSolveReport:
     method: str
     iterations: int
     rel_residual: float
+    energy: float           # x . (A x), from the product the residual is verified with
 
 
 class LinearSolveError(RuntimeError):
@@ -111,7 +114,9 @@ def solve_spd(
     (x, SpdSolveReport)
         The report's method is "direct" or "pcg"; its residual is recomputed
         from A @ x, not taken from the iteration recurrence, and its
-        iteration count sums the CG steps of every pass.
+        iteration count sums the CG steps of every pass. Its energy is
+        ``x @ (A @ x)`` from that same product at the returned x: 0.0 for a
+        zero b, and NaN on the report of a b that is not finite.
 
     Raises
     ------
@@ -121,8 +126,8 @@ def solve_spd(
     LinearSolveError
         If the verified residual still exceeds ``tol``. It is a
         :class:`LinearSolveRangeError` if ``||b||`` is not finite, raised
-        before any solve step (the report then has 0 iterations and a NaN
-        residual), or if the verified residual is not finite.
+        before any solve step (the report then has 0 iterations, a NaN
+        residual and a NaN energy), or if the verified residual is not finite.
     """
     n = A.shape[0]
     if A.shape[0] != A.shape[1] or b.shape != (n,):
@@ -135,31 +140,28 @@ def solve_spd(
     bnorm = float(np.linalg.norm(b))
     if not math.isfinite(bnorm):        # NaN or inf in b, or ||b|| overflows
         raise LinearSolveRangeError(f"right-hand side norm is {bnorm}, not finite",
-                                    SpdSolveReport(method, 0, math.nan))
+                                    SpdSolveReport(method, 0, math.nan, math.nan))
     if bnorm == 0.0:
-        return np.zeros(n), SpdSolveReport(method, 0, 0.0)
-
-    def verified(x):
-        return float(np.linalg.norm(A @ x - b)) / bnorm
-
-    if factor is not None:
-        x = factor.solve(b)
-        iterations = 0
-        rel = verified(x)
-    else:
+        return np.zeros(n), SpdSolveReport(method, 0, 0.0, 0.0)
+    if factor is None:
         diag = A.diagonal()
         if np.any(diag <= 0.0):
             raise ValueError("matrix has a non-positive diagonal entry, not SPD")
         inv_diag = 1.0 / diag
-        x = np.zeros(n)
-        iterations = 0
-        for _ in range(3):
-            iterations += _jacobi_cg(A, b, x, tol * bnorm, 10 * n, inv_diag)
-            rel = verified(x)
-            if rel <= tol:
-                break
 
-    report = SpdSolveReport(method, iterations, rel)
+    x = np.zeros(n)
+    iterations = 0
+    for _ in range(3 if factor is None else 1):     # PCG: a pass, then two warm restarts
+        if factor is not None:
+            x = factor.solve(b)
+        else:
+            iterations += _jacobi_cg(A, b, x, tol * bnorm, 10 * n, inv_diag)
+        Ax = A @ x
+        rel = float(np.linalg.norm(Ax - b)) / bnorm
+        if rel <= tol:
+            break
+
+    report = SpdSolveReport(method, iterations, rel, float(x @ Ax))
     if not rel <= tol:      # a residual that is not finite: the solve overflowed
         error = LinearSolveError if math.isfinite(rel) else LinearSolveRangeError
         raise error(f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})", report)

@@ -203,6 +203,15 @@ def make_mesh(vertices: np.ndarray, triangles: np.ndarray) -> Mesh:
     return Mesh(vertices, triangles, boundary_vertex, areas, basis_gradients, h)
 
 
+def _size(value, name: str, least: int) -> int:
+    """``value`` as an int, if it is an integer (not a bool) >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise MeshError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise MeshError(f"{name} must be >= {least}, got {value}")
+    return int(value)
+
+
 def build_unit_square_mesh(n: int) -> Mesh:
     """Triangulation of the unit square with n x n cells, all cut the same way.
 
@@ -214,10 +223,10 @@ def build_unit_square_mesh(n: int) -> Mesh:
     Parameters
     ----------
     n : int
-        Number of cells per side, at least 1.
+        Number of cells per side, at least 1. A size that is not an integer (a
+        bool, a float, text) raises :class:`MeshError`.
     """
-    if n < 1:
-        raise MeshError(f"n must be >= 1, got {n}")
+    n = _size(n, "n", 1)
     xs = np.linspace(0.0, 1.0, n + 1)
     X, Y = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
@@ -262,10 +271,10 @@ def build_unit_disk_mesh(level: int) -> Mesh:
     Parameters
     ----------
     level : int
-        Number of refinements, at least 0.
+        Number of refinements, at least 0. A size that is not an integer (a
+        bool, a float, text) raises :class:`MeshError`.
     """
-    if level < 0:
-        raise MeshError(f"level must be >= 0, got {level}")
+    level = _size(level, "level", 0)
     angles = np.arange(6) * (np.pi / 3.0)
     vertices = np.vstack([[0.0, 0.0], np.column_stack([np.cos(angles), np.sin(angles)])])
     rim = np.arange(1, 7)

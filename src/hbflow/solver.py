@@ -16,6 +16,11 @@ so every run and continuation stage on that mesh, and its Poisson start,
 solve with one factor. For p < 2 the start's Laplacian is assembled like
 any weighted P_k, with unit weights, and dropped after the start, and
 ``LinearConfig.method`` picks PCG or an LU factor for it and each P_k.
+The function returns ``solve_spd``'s x and report, and nothing else here
+holds P_k or multiplies by it: the report's energy w_k^T P_k w_k, taken from
+the product that verifies w_k, gives the error of the descent identity
+<J'(u_k), w_k> = -w_k^T P_k w_k that each iteration records, and a p < 2
+P_k is freed before the line search along w_k starts.
 
 The step along w_k comes from the backtracking line search, iterates start
 from the Poisson solution, and the loop stops when the gradient norm falls
@@ -129,8 +134,8 @@ class SolveOutcome:
 
 def _preconditioned_solve(mesh: Mesh, params: HuberParams, linear: LinearConfig,
                           xi: np.ndarray | None, rhs: np.ndarray):
-    """x solving P_k x = rhs, and P_k, given xi = |grad u| at the iterate u,
-    or xi = None for the Poisson start.
+    """``solve_spd``'s (x, report) for P_k x = rhs, given xi = |grad u| at the
+    iterate u, or xi = None for the Poisson start.
 
     For p >= 2, P_k is the mesh's Laplacian whatever xi, solved with its LU
     factor whatever the method: both are built on the first call for a mesh
@@ -138,7 +143,8 @@ def _preconditioned_solve(mesh: Mesh, params: HuberParams, linear: LinearConfig,
     stage on the mesh shares one factor and none can meet another mesh's.
     For p < 2, P_k is the stiffness weighted by (epsilon + xi)^(p-2), or by
     ones for the start, reassembled (and, for the direct method, factored)
-    on every call.
+    on every call and dropped when it returns. P_k never leaves this call:
+    the report's energy is x^T P_k x, from the product that verifies x.
     """
     if params.p >= 2.0:
         if not hasattr(mesh, "_hbflow_laplacian"):
@@ -149,7 +155,7 @@ def _preconditioned_solve(mesh: Mesh, params: HuberParams, linear: LinearConfig,
         P = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles) if xi is None
                                         else params.preconditioner_weight(xi))
         factor = factorize_spd(P) if linear.method == "direct" else None
-    return solve_spd(P, rhs, factor=factor)[0], P
+    return solve_spd(P, rhs, factor=factor)
 
 
 def solve(
@@ -186,7 +192,7 @@ def solve(
     if not np.isfinite(load_norm):      # ahead of the Poisson start, which solves for it
         raise ValueError(f"||load|| is {load_norm}")
     G = build_discrete_gradient(mesh)
-    if u0 is None:      # for p < 2 the start's Laplacian is dropped with the tuple
+    if u0 is None:      # for p < 2 the start's Laplacian is dropped when the call returns
         u = _preconditioned_solve(mesh, params, config.linear, None, load)[0]
     else:
         u = np.asarray(u0, dtype=np.float64).copy()
@@ -212,10 +218,9 @@ def solve(
     k = 0
     while not converged and k < config.max_iters:
         k += 1
-        w, P = _preconditioned_solve(mesh, params, config.linear, xi, -grad)
+        w, report = _preconditioned_solve(mesh, params, config.linear, xi, -grad)
         dphi0 = float(grad @ w)
-        quad = float(w @ (P @ w))
-        identity_err = abs(dphi0 + quad) / max(abs(dphi0), np.finfo(float).tiny)
+        identity_err = abs(dphi0 + report.energy) / max(abs(dphi0), np.finfo(float).tiny)
 
         trial = []      # the latest trial point and its xi; an accepted search ends on it
 

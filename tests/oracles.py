@@ -403,7 +403,7 @@ def scipy_jacobi_pcg(A, b, tol=1e-10):
     method = "pcg"
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
-        return np.zeros(n), SpdSolveReport(method, 0, 0.0)
+        return np.zeros(n), SpdSolveReport(method, 0, 0.0, 0.0)
 
     diag = A.diagonal()
     if np.any(diag <= 0.0):
@@ -424,8 +424,9 @@ def scipy_jacobi_pcg(A, b, tol=1e-10):
             break
     iterations = count
 
-    rel = float(np.linalg.norm(A @ x - b)) / bnorm
-    report = SpdSolveReport(method, iterations, rel)
+    Ax = A @ x
+    rel = float(np.linalg.norm(Ax - b)) / bnorm
+    report = SpdSolveReport(method, iterations, rel, float(x @ Ax))
     if not rel <= tol:          # also catches a NaN residual
         raise LinearSolveError(
             f"{method} stalled at relative residual {rel:.3e} (target {tol:.1e})",

@@ -39,6 +39,37 @@ def test_solve_zero_rhs_short_circuits(square4):
     assert report.rel_residual == 0.0
 
 
+def assert_energy(A, x, report):
+    """The report's energy is x . (A x) at the returned x, bit for bit."""
+    assert np.float64(report.energy).view(np.int64) == np.float64(x @ (A @ x)).view(np.int64)
+
+
+@pytest.mark.parametrize("method", ["pcg", "direct"])
+def test_solve_reports_the_energy_of_its_solution(square16, rng, method):
+    A = poisson_matrix(square16)
+    x, report = solve_spd(A, rng.standard_normal(A.shape[0]), factor=factor_for(method, A))
+    assert report.energy > 0.0
+    assert_energy(A, x, report)
+    x, report = solve_spd(A, np.zeros(A.shape[0]), factor=factor_for(method, A))
+    assert_energy(A, x, report)
+    assert report.energy == 0.0
+
+
+def test_solve_reports_the_energy_after_both_warm_restarts(square16, rng, monkeypatch):
+    A = poisson_matrix(square16)
+    passes = []
+    real = hbflow.linalg._jacobi_cg
+
+    def counting(A, b, x, *args):
+        passes.append(x.any())
+        return real(A, b, x, *args)
+
+    monkeypatch.setattr(hbflow.linalg, "_jacobi_cg", counting)
+    x, report = solve_spd(A, rng.standard_normal(A.shape[0]), tol=1e-15)
+    assert passes == [False, True, True]     # two warm restarts, then success
+    assert_energy(A, x, report)
+
+
 def test_solve_methods_agree(square16, rng):
     A = poisson_matrix(square16)
     b = rng.standard_normal(A.shape[0])
@@ -106,6 +137,7 @@ def test_solve_nan_residual_raises(square4, no_cg, method):
         report = exc.value.report
         assert (report.method, report.iterations) == (method, 0)
         assert np.isnan(report.rel_residual)
+        assert np.isnan(report.energy)
 
 
 def test_solve_rejects_a_tol_that_is_not_finite_and_positive(square4, no_cg):
@@ -131,6 +163,8 @@ def assert_same_solve(A, b, tol):
     assert np.array_equal(x.view(np.int64), want.view(np.int64))
     assert report.iterations == expected.iterations
     assert report.rel_residual == expected.rel_residual
+    assert report.energy == expected.energy
+    assert_energy(A, x, report)
     assert report.method == expected.method == "pcg"
 
 

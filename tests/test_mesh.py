@@ -283,3 +283,17 @@ def test_square_n1_has_no_interior():
     m = build_unit_square_mesh(1)
     assert m.num_interior == 0
     assert m.boundary_vertex.all()
+
+
+@pytest.mark.parametrize("build, name, least", [
+    (build_unit_square_mesh, "n", 1),
+    (build_unit_disk_mesh, "level", 0),
+])
+def test_square_and_disk_meshes_take_only_an_integer_size(build, name, least):
+    for bad in (True, False, np.bool_(True), 2.5, 2.0, np.nan, np.inf, "4", None):
+        with pytest.raises(MeshError, match=rf"^{name} must be an integer, got "):
+            build(bad)
+    with pytest.raises(MeshError, match=rf"^{name} must be >= {least}, got {least - 1}$"):
+        build(least - 1)
+    mesh = build(np.int64(2))
+    assert mesh.num_triangles == build(2).num_triangles

@@ -3,6 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hbflow.linalg
 import hbflow.solver
@@ -431,7 +432,9 @@ def test_thinning_direct_solve_refactors_every_iteration(square16, splu_calls):
 @pytest.mark.parametrize("method", ["direct", "pcg"])
 def test_thinning_solve_drops_the_laplacian_after_the_start(splu_calls, monkeypatch, method):
     assembled = []
+    searches = []
     real = hbflow.solver.assemble_weighted_stiffness
+    real_search = hbflow.solver.backtracking_search
 
     def recording(*args, **kwargs):
         if len(assembled) == 1:     # the first P_k: the start's Laplacian is already gone
@@ -440,21 +443,59 @@ def test_thinning_solve_drops_the_laplacian_after_the_start(splu_calls, monkeypa
         assembled.append(weakref.ref(A))
         return A
 
+    def searching(*args, **kwargs):
+        assert assembled[-1]() is None      # the direction's P_k is freed before its search
+        searches.append(len(assembled))
+        return real_search(*args, **kwargs)
+
     monkeypatch.setattr(hbflow.solver, "assemble_weighted_stiffness", recording)
+    monkeypatch.setattr(hbflow.solver, "backtracking_search", searching)
     cfg = SolverConfig(p=1.5, g=0.2, gamma=100.0, max_iters=4,
                        linear=LinearConfig(method=method))
     mesh = build_unit_square_mesh(16)
     out = solve(mesh, cfg, 1.0)
     assert out.iterations == 4
     assert len(assembled) == 1 + out.iterations      # the Laplacian, then each P_k
+    assert searches == [2, 3, 4, 5]     # each search runs after its own P_k's assembly
     assert len(splu_calls) == (1 + out.iterations if method == "direct" else 0)
     # neither the Laplacian nor its factor outlives the Poisson start
     assert not hasattr(mesh, "_hbflow_laplacian")
     assert all(ref() is None for ref in assembled)
     # p >= 2 keeps it on the mesh for the directions
+    monkeypatch.setattr(hbflow.solver, "backtracking_search", real_search)
     solve(mesh, dataclasses.replace(cfg, p=4.0, max_iters=1), 1.0)
     assert hasattr(mesh, "_hbflow_laplacian")
     assert assembled[-1]() is mesh._hbflow_laplacian[0]
+
+
+@pytest.mark.parametrize("p, method", [(1.5, "direct"), (4.0, "direct"), (4.0, "pcg")])
+def test_a_direction_multiplies_by_its_preconditioner_only_to_verify(monkeypatch, p, method):
+    products = []       # one entry per product with an assembled P_k
+    per_solve = []      # the products made inside each solve_spd call
+    real_assemble = hbflow.solver.assemble_weighted_stiffness
+    real_solve = hbflow.solver.solve_spd
+
+    class Counting(sp.csr_matrix):
+        def __matmul__(self, other):
+            products.append(1)
+            return super().__matmul__(other)
+
+    def solving(*args, **kwargs):
+        before = len(products)
+        result = real_solve(*args, **kwargs)
+        per_solve.append(len(products) - before)
+        return result
+
+    monkeypatch.setattr(hbflow.solver, "assemble_weighted_stiffness",
+                        lambda *args: Counting(real_assemble(*args)))
+    monkeypatch.setattr(hbflow.solver, "solve_spd", solving)
+    cfg = SolverConfig(p=p, g=0.2, gamma=100.0, max_iters=4,
+                       linear=LinearConfig(method=method))
+    out = solve(build_unit_square_mesh(8), cfg, 1.0 if p < 2.0 else 3.0)
+    assert out.iterations == 4
+    # the start, then each direction: one product, the one that verifies the solve
+    assert per_solve == [1] * (1 + out.iterations)
+    assert len(products) == sum(per_solve)      # none outside solve_spd
 
 
 @pytest.fixture
