@@ -12,10 +12,11 @@ of the constitutive law are methods of ``huber.HuberParams``):
 
     A[i, j] = sum over triangles of w * area * (grad phi_i, grad phi_j)
 
-which is G^T D G, D = diag(w * area, w * area). G is built once per mesh
-and kept on it, with read-only arrays, and the plan these entries come
-from is kept on G, so both live as long as the mesh; the evaluators take
-the mesh alone, so none can meet another mesh's G. The plan holds the G
+which is G^T D G, D = diag(w * area, w * area). G is built once per mesh,
+with read-only arrays, and the plan these entries come from is built on
+the first stiffness call; the mesh's memo keeps both, so both live as long
+as the mesh. The evaluators take the mesh alone, so none can meet another
+mesh's G. The plan holds the G
 values of each entry's terms as a constant sparse term matrix, so the
 entries are two runs of scipy's CSR matrix-vector kernel, on the x terms and then the y terms,
 into one zeroed array. The kernel starts each row from the array's value
@@ -44,8 +45,8 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     """Sparse matrix taking interior vertex coefficients to per-triangle gradients.
 
     Columns run over interior vertices only, so homogeneous Dirichlet data
-    is baked in. G is built on the first call for a mesh and kept on it:
-    every later call returns the same matrix.
+    is baked in. G is built on the first call for a mesh and kept in its
+    memo: every later call returns the same matrix.
 
     Returns
     -------
@@ -54,8 +55,10 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     """
     if not isinstance(mesh, Mesh):
         raise TypeError(f"expected a Mesh, got {type(mesh).__name__}")
-    if hasattr(mesh, "_hbflow_gradient"):
-        return mesh._hbflow_gradient
+    return mesh._memo("_gradient", lambda: _discrete_gradient(mesh))
+
+
+def _discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     nt = mesh.num_triangles
     ncols = mesh.num_interior
     if ncols == 0:
@@ -75,7 +78,6 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     G.sort_indices()
     for arr in (G.data, G.indices, G.indptr):     # as every Mesh array: the plan reads G
         arr.setflags(write=False)
-    mesh._hbflow_gradient = G
     return G
 
 
@@ -204,11 +206,9 @@ class _StiffnessPattern:
 
 
 def _stiffness_pattern(mesh: Mesh) -> _StiffnessPattern:
-    gradient = build_discrete_gradient(mesh)
-    # kept on the mesh's G, so the plan lives exactly as long as G and the mesh
-    if not hasattr(gradient, "_hbflow_stiffness_pattern"):
-        gradient._hbflow_stiffness_pattern = _StiffnessPattern(gradient)
-    return gradient._hbflow_stiffness_pattern
+    # built on the first stiffness call, after G, and kept as long as the mesh
+    return mesh._memo("_stiffness_plan",
+                      lambda: _StiffnessPattern(build_discrete_gradient(mesh)))
 
 
 def assemble_load_vector(mesh: Mesh, f: float) -> np.ndarray:

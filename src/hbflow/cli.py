@@ -16,6 +16,7 @@ among its points.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import itertools
 import json
@@ -305,7 +306,7 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     Returns the largest exit code among the points, each point's being the
     one ``hbflow run`` would return for it. ``aggregate.csv`` is written
     whatever the points return, with a ``failed:`` row for each point that
-    raised.
+    raised; a field that holds a comma, a quote or a newline is quoted.
     """
     resolution = _DOMAINS[manifest.domain][0]
     unread = {field for field, _ in _DOMAINS.values()} - {resolution}
@@ -320,7 +321,8 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
     base_out = _make_outdir(manifest.out)
 
     names = [name for name, _ in axes]
-    lines = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"]
+    rows = ["domain,resolution,p,g,gamma,f,h,iterations,final_J,final_rel_residual,converged"
+            .split(",")]
     worst = 0
     for combo in itertools.product(*(values for _, values in axes)):
         point = dict(zip(names, combo))
@@ -329,15 +331,17 @@ def run_sweep(manifest: RunManifest, args: argparse.Namespace) -> int:
         try:
             code, summary = run_single(sub)
         except tuple(_FAILURES) as exc:
-            code, result = _failure(exc)[0], f",,,,failed: {exc}"
+            code, result = _failure(exc)[0], ["", "", "", "", f"failed: {exc}"]
         else:
-            result = (f"{summary['h']:.10e},{summary['iterations']},"
-                      f"{summary['final_objective']:.10e},{summary['final_rel_residual']:.10e},"
-                      f"{summary['converged']}")
+            result = [f"{summary['h']:.10e}", summary["iterations"],
+                      f"{summary['final_objective']:.10e}",
+                      f"{summary['final_rel_residual']:.10e}", summary["converged"]]
         worst = max(worst, code)
-        lines.append(f"{sub.domain},{getattr(sub, resolution)},{sub.p:g},{sub.g:g},"
-                     f"{sub.gamma:g},{sub.f:g},{result}")
-    (base_out / "aggregate.csv").write_text("\n".join(lines) + "\n")
+        rows.append([sub.domain, getattr(sub, resolution), f"{sub.p:g}", f"{sub.g:g}",
+                     f"{sub.gamma:g}", f"{sub.f:g}", *result])
+    # a failure's message can hold commas, quotes or newlines: the writer quotes it
+    with open(base_out / "aggregate.csv", "w", newline="") as aggregate:
+        csv.writer(aggregate, lineterminator="\n").writerows(rows)
     return worst
 
 

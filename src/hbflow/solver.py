@@ -11,11 +11,12 @@ direction, where the preconditioner depends on the flow index:
 One function, ``_preconditioned_solve``, picks P_k and solves with it, for
 the Poisson start (the Laplacian) and for every direction. The Laplacian
 depends on the mesh alone: for p >= 2 it is built and LU-factored on the
-first call for a mesh and kept on the mesh, beside its discrete gradient,
-so every run and continuation stage on that mesh, and its Poisson start,
-solve with one factor. For p < 2 the start's Laplacian is assembled like
-any weighted P_k, with unit weights, and dropped after the start, and
-``LinearConfig.method`` picks PCG or an LU factor for it and each P_k.
+first call for a mesh and kept in the mesh's memo, beside its discrete
+gradient and stiffness plan, so every run and continuation stage on that
+mesh, and its Poisson start, solve with one factor. For p < 2 the start's
+Laplacian is assembled like any weighted P_k, with unit weights, and
+dropped after the start, and ``LinearConfig.method`` picks PCG or an LU
+factor for it and each P_k.
 The function returns ``solve_spd``'s x and report, and nothing else here
 holds P_k or multiplies by it: the report's energy w_k^T P_k w_k, taken from
 the product that verifies w_k, gives the error of the descent identity
@@ -132,6 +133,12 @@ class SolveOutcome:
         return self.history[-1].rel_residual
 
 
+def _factored_laplacian(mesh: Mesh):
+    """The unit-weight stiffness matrix of the mesh and its LU factor."""
+    A = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles))
+    return A, factorize_spd(A)
+
+
 def _preconditioned_solve(mesh: Mesh, params: HuberParams, linear: LinearConfig,
                           xi: np.ndarray | None, rhs: np.ndarray):
     """``solve_spd``'s (x, report) for P_k x = rhs, given xi = |grad u| at the
@@ -139,18 +146,16 @@ def _preconditioned_solve(mesh: Mesh, params: HuberParams, linear: LinearConfig,
 
     For p >= 2, P_k is the mesh's Laplacian whatever xi, solved with its LU
     factor whatever the method: both are built on the first call for a mesh
-    and kept on it, as its discrete gradient is, so every run and ladder
-    stage on the mesh shares one factor and none can meet another mesh's.
+    and kept in its memo, as its discrete gradient is, so every run and
+    ladder stage on the mesh shares one factor and none can meet another
+    mesh's.
     For p < 2, P_k is the stiffness weighted by (epsilon + xi)^(p-2), or by
     ones for the start, reassembled (and, for the direct method, factored)
     on every call and dropped when it returns. P_k never leaves this call:
     the report's energy is x^T P_k x, from the product that verifies x.
     """
     if params.p >= 2.0:
-        if not hasattr(mesh, "_hbflow_laplacian"):
-            A = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles))
-            mesh._hbflow_laplacian = A, factorize_spd(A)
-        P, factor = mesh._hbflow_laplacian
+        P, factor = mesh._memo("_laplacian", lambda: _factored_laplacian(mesh))
     else:
         P = assemble_weighted_stiffness(mesh, np.ones(mesh.num_triangles) if xi is None
                                         else params.preconditioner_weight(xi))

@@ -324,7 +324,7 @@ def edge_table(triangles):
 
 
 def mesh_geometry(vertices, triangles):
-    """Boundary flags, areas, basis gradients and h as ``make_mesh`` computed
+    """Boundary flags, areas, basis gradients and h as ``Mesh`` computes
     them from (nt, 2) corner arrays, for valid float64/int64 input."""
     edges, _, counts = edge_table(triangles)
     boundary_vertex = np.zeros(len(vertices), dtype=bool)

@@ -15,7 +15,7 @@ from hbflow.assembly import (
     gradient_magnitudes,
 )
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient
-from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
+from hbflow.mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
 from hbflow.solver import LinearConfig, SolverConfig, continuation_solve, solve
 import oracles
 from oracles import plane_gradient
@@ -68,7 +68,7 @@ def test_gradient_magnitudes_is_hypot(square2, rng):
 
 def test_local_stiffness_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    m = make_mesh(verts, np.array([[0, 1, 2]]))
+    m = Mesh(verts, np.array([[0, 1, 2]]))
     a = assembly._StiffnessPattern(oracles.full_gradient(m)).assemble(m.areas)
     assert np.allclose(a.toarray(), LOCAL_STIFFNESS, atol=1e-14)
 
@@ -167,12 +167,12 @@ def _bits_equal(a, b):
 
 
 def _single_triangle():
-    return make_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([[0, 1, 2]]))
 
 
 def _two_triangles():
-    return make_mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
-                     np.array([[0, 1, 2], [0, 2, 3]]))
+    return Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                np.array([[0, 1, 2], [0, 2, 3]]))
 
 
 def _wide(g, ncols):
@@ -346,9 +346,16 @@ def test_pattern_lives_as_long_as_its_mesh(pattern_builds):
     for _ in range(3):
         assemble_weighted_stiffness(m, np.ones(m.num_triangles))
     assert len(pattern_builds) == 1
-    gradient = weakref.ref(build_discrete_gradient(m))
-    pattern = weakref.ref(assembly._stiffness_pattern(m))
-    del m
+
+    def missing():
+        raise AssertionError("the memo lost what it keeps")
+
+    G, plan = m._memo("_gradient", missing), m._memo("_stiffness_plan", missing)
+    assert build_discrete_gradient(m) is G and assembly._stiffness_pattern(m) is plan
+    # the mesh keeps both: the plan is not set on the scipy matrix
+    assert not any(isinstance(value, assembly._StiffnessPattern) for value in vars(G).values())
+    gradient, pattern = weakref.ref(G), weakref.ref(plan)
+    del m, G, plan
     gc.collect()
     assert gradient() is None and pattern() is None
 

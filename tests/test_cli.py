@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import math
@@ -551,6 +552,20 @@ def test_sweep_point_exceptions_map_to_run_codes(tmp_path, capsys, monkeypatch,
     assert main(argv) == code
     assert (out / "aggregate.csv").read_text().splitlines()[1].endswith(
         f"failed: {point_failure}")
+
+
+def test_sweep_quotes_a_failure_message_with_commas(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--n", "4", "--p", "1.5", "--g-list", "0.2,1e306", "--gamma", "1e3",
+            "--max-iters", "2", "--out", str(out)]
+    assert main(argv) == 2
+    text = (out / "aggregate.csv").read_text()
+    rows = list(csv.reader(io.StringIO(text)))
+    assert [len(row) for row in rows] == [11, 11, 11]
+    assert rows[2][-1] == "failed: g * gamma overflows: g=1e+306, gamma=1000.0"
+    # the rows without such a field keep their bytes
+    assert text.splitlines()[1] == ",".join(rows[1])
+    assert text.startswith(",".join(rows[0]) + "\n")
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

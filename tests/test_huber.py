@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from hbflow.assembly import build_discrete_gradient, gradient_magnitudes
-from hbflow.mesh import make_mesh
+from hbflow.mesh import Mesh
 from conftest import problem_arrays
 import oracles
 
@@ -167,7 +167,7 @@ def test_objective_overflow_is_inf_not_nan(square2):
 def test_dual_field_on_a_four_triangle_star():
     # the hat of the one interior vertex, the origin, has slope (-+1, -+1) on each triangle
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
-    mesh = make_mesh(verts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]))
+    mesh = Mesh(verts, np.array([[0, 1, 2], [0, 2, 3], [0, 3, 4], [0, 4, 1]]))
     slopes = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
     gradient = build_discrete_gradient(mesh)
     params = HuberParams(p=1.5, g=1.0, gamma=10.0)

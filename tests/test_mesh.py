@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import resource
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,14 +11,16 @@ from hypothesis import strategies as st
 from scipy.spatial import Delaunay, QhullError
 
 import hbflow.mesh
+from hbflow.assembly import build_discrete_gradient
 from hbflow.mesh import (
+    MAX_TRIANGLES,
     Mesh,
     MeshError,
     _edges,
     build_unit_disk_mesh,
     build_unit_square_mesh,
-    make_mesh,
 )
+from hbflow.solver import SolverConfig, solve
 from oracles import (
     disk_mesh,
     edge_counts,
@@ -179,74 +187,74 @@ def test_delaunay_mesh_matches_the_oracle_bit_for_bit(seed, size, scale):
     left_out = np.setdiff1d(np.arange(size), triangles)     # Qhull may drop a point
     if left_out.size:
         with pytest.raises(MeshError, match=rf"^vertex {left_out[0]} is on no triangle$"):
-            make_mesh(vertices, triangles)
+            Mesh(vertices, triangles)
         return
-    mesh = make_mesh(vertices, triangles)
+    mesh = Mesh(vertices, triangles)
     assert_matches_oracle(mesh, mesh)
 
 
-def test_make_mesh_rejects_bad_input():
+def test_mesh_rejects_bad_input():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(MeshError):
-        make_mesh(verts, np.array([[0, 2, 1]]))          # clockwise
+        Mesh(verts, np.array([[0, 2, 1]]))          # clockwise
     with pytest.raises(MeshError):
-        make_mesh(verts, np.array([[0, 1, 1]]))          # repeated vertex
+        Mesh(verts, np.array([[0, 1, 1]]))          # repeated vertex
     with pytest.raises(MeshError):
-        make_mesh(verts, np.array([[0, 1, 3]]))          # index out of range
+        Mesh(verts, np.array([[0, 1, 3]]))          # index out of range
     with pytest.raises(MeshError):
-        make_mesh(verts[:, :1], np.array([[0, 1, 2]]))   # wrong vertex shape
+        Mesh(verts[:, :1], np.array([[0, 1, 2]]))   # wrong vertex shape
     for bad in (np.array([0, 1, 2]), np.array([[0, 1], [1, 2]])):       # wrong triangle shape
         with pytest.raises(MeshError, match=r"^triangles must have shape \(nt, 3\), got "):
-            make_mesh(verts, bad)
+            Mesh(verts, bad)
     fan = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [0.5, 0.5], [0.5, 2.0]])
     with pytest.raises(MeshError, match=r"^edge \(0, 1\) lies on 3 triangles$"):
-        make_mesh(fan, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))   # non-manifold
+        Mesh(fan, np.array([[0, 1, 2], [0, 1, 3], [0, 1, 4]]))   # non-manifold
     one_side = r"^edge \(0, 1\) has both its triangles on one side$"
     with pytest.raises(MeshError, match=one_side):
-        make_mesh(verts, np.array([[0, 1, 2], [0, 1, 2]]))          # a triangle listed twice
+        Mesh(verts, np.array([[0, 1, 2], [0, 1, 2]]))          # a triangle listed twice
     with pytest.raises(MeshError, match=one_side):
-        make_mesh(fan[:4], np.array([[0, 1, 2], [0, 1, 3]]))        # a fold
+        Mesh(fan[:4], np.array([[0, 1, 2], [0, 1, 3]]))        # a fold
     # a NaN or +inf vertex passes the det <= 0 test, and -inf fails it as det=nan
     star = np.array([[0, 1, 3], [1, 2, 3], [2, 0, 3]])
     for x in ("nan", "inf", "-inf"):
         corners = np.array([[0.0, 0.0], [1.0, 0.0], [float(x), 1.0], [0.3, 0.3]])
         with pytest.raises(MeshError, match=rf"^vertex 2 is not finite: \({x}, 1\.0\)$"):
-            make_mesh(corners, star)
+            Mesh(corners, star)
     # a vertex that no triangle uses would be an unknown with an all-zero G column
     square = build_unit_square_mesh(4)
     with pytest.raises(MeshError, match=r"^vertex 25 is on no triangle$"):
-        make_mesh(np.vstack([square.vertices, [[0.5, 0.55]]]), square.triangles)
+        Mesh(np.vstack([square.vertices, [[0.5, 0.55]]]), square.triangles)
     with pytest.raises(MeshError, match=r"^vertex 1 is on no triangle$"):
-        make_mesh(fan[:4], np.array([[0, 3, 2]]))
+        Mesh(fan[:4], np.array([[0, 3, 2]]))
     # int64 indices only: no truncated float, no NaN or inf, no parsed text
     for bad, shown in (([[0, 1, 2.9]], "2.9"), ([[0, 1, 2], [1, 3, 2.5]], "2.5"),
                        ([[0, 1, np.nan]], "nan"), ([[0, 1, np.inf]], "inf")):
         with pytest.raises(MeshError, match=rf"^triangle index {shown} is not an int64$"):
-            make_mesh(np.vstack([verts, [[1.0, 1.0]]]), bad)
+            Mesh(np.vstack([verts, [[1.0, 1.0]]]), bad)
     for bad in ([["0", "1", "2"]], [[0, 1, None]]):
         with pytest.raises(MeshError, match=r"^triangle indices must be integers, got dtype "):
-            make_mesh(verts, bad)
+            Mesh(verts, bad)
     for good in (np.array([[0, 1, 2]], dtype=np.int32), [[0.0, 1.0, 2.0]]):
-        assert make_mesh(verts, good).triangles.tolist() == [[0, 1, 2]]
+        assert Mesh(verts, good).triangles.tolist() == [[0, 1, 2]]
     # vertex coordinates are numbers, not text that numpy would parse
     for bad in ([["0", "0"], ["1", "0"], ["0", "1"]], [[0.0, 0.0], [1.0, 0.0], [0.0, "a"]],
                 [[0.0, 0.0], [1.0, 0.0], [0.0, None]]):
         with pytest.raises(MeshError, match=r"^vertex coordinates must be numbers, got dtype "):
-            make_mesh(bad, [[0, 1, 2]])
+            Mesh(bad, [[0, 1, 2]])
     # a ragged list is named as the input it is, not left to numpy's ValueError
     with pytest.raises(MeshError, match=r"^vertices must be a rectangular array, not a ragged"):
-        make_mesh([[0.0, 0.0], [1.0, 0.0], [0.0]], [[0, 1, 2]])
+        Mesh([[0.0, 0.0], [1.0, 0.0], [0.0]], [[0, 1, 2]])
     with pytest.raises(MeshError, match=r"^triangles must be a rectangular array, not a ragged"):
-        make_mesh(verts, [[0, 1, 2], [0, 1]])
+        Mesh(verts, [[0, 1, 2], [0, 1]])
     for good in ([[0, 0], [1, 0], [0, 1]], [[False, False], [True, False], [False, True]]):
-        assert make_mesh(good, [[0, 1, 2]]).areas.tolist() == [0.5]
+        assert Mesh(good, [[0, 1, 2]]).areas.tolist() == [0.5]
 
 
 def test_boundary_flags_from_edge_counts():
     # two triangles sharing one edge: every vertex touches an unshared edge
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]])
-    m = make_mesh(verts, tris)
+    m = Mesh(verts, tris)
     assert m.boundary_vertex.all()
     assert m.num_interior == 0
 
@@ -258,11 +266,11 @@ def test_arrays_are_read_only(square2):
             arr[0] = 0
 
 
-def test_make_mesh_owns_copies_of_its_inputs():
+def test_mesh_owns_copies_of_its_inputs():
     square = build_unit_square_mesh(4)
     base = square.vertices.copy()
     v, t = base[:], square.triangles.copy()     # contiguous float64 and int64, as a mesh keeps
-    mesh = make_mesh(v, t)
+    mesh = Mesh(v, t)
     assert v.flags.writeable and t.flags.writeable
     assert mesh.vertices is not v and mesh.triangles is not t
     base *= 2.0         # the caller edits its array: the mesh and its geometry stay as built
@@ -297,3 +305,109 @@ def test_square_and_disk_meshes_take_only_an_integer_size(build, name, least):
         build(least - 1)
     mesh = build(np.int64(2))
     assert mesh.num_triangles == build(2).num_triangles
+
+
+FIELDS = ("vertices", "triangles", "boundary_vertex", "areas", "basis_gradients", "h")
+THICKENING = SolverConfig(p=4.0, g=0.2, gamma=10.0, max_iters=3)
+
+
+def test_mesh_is_frozen():
+    mesh = build_unit_square_mesh(4)
+    first = solve(mesh, THICKENING, 3.0).final_objective     # G, plan and factor now kept
+    for name in FIELDS:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mesh, name, getattr(mesh, name) * 4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(mesh, name)
+    assert mesh.areas[0] == 0.03125
+    assert repr(solve(mesh, THICKENING, 3.0).final_objective) == repr(first)
+
+
+def test_replace_builds_a_fresh_mesh():
+    mesh = build_unit_square_mesh(4)
+    solve(mesh, THICKENING, 3.0)        # the memo now holds the unstretched G and factor
+    stretched = mesh.vertices * [2.0, 1.0]
+    replaced = dataclasses.replace(mesh, vertices=stretched)
+    fresh = Mesh(stretched, mesh.triangles)
+    for name in FIELDS:
+        assert np.array_equal(getattr(replaced, name), getattr(fresh, name))
+    assert replaced.areas[0] == 0.0625 and replaced.h == fresh.h > mesh.h
+    got, want = build_discrete_gradient(replaced), build_discrete_gradient(fresh)
+    assert got is not build_discrete_gradient(mesh)
+    assert all(np.array_equal(getattr(got, name), getattr(want, name))
+               for name in ("data", "indices", "indptr"))
+    objective = solve(replaced, THICKENING, 3.0).final_objective
+    assert repr(objective) == repr(solve(fresh, THICKENING, 3.0).final_objective)
+    assert objective != solve(mesh, THICKENING, 3.0).final_objective
+    with pytest.raises(ValueError):     # derived fields are not inputs
+        dataclasses.replace(mesh, areas=mesh.areas * 4)
+
+
+def test_mesh_takes_only_vertices_and_triangles():
+    m = build_unit_square_mesh(2)
+    with pytest.raises(TypeError):
+        Mesh(m.vertices, m.triangles, m.boundary_vertex, np.array([-1.0, 5.0]),
+             m.basis_gradients, m.h)
+    with pytest.raises(TypeError):
+        Mesh(m.vertices, m.triangles, areas=m.areas)
+
+
+def test_size_limit_is_the_plans_int32_bound(monkeypatch):
+    # a stiffness plan indexes 9 terms per triangle with int32
+    assert 9 * MAX_TRIANGLES < 2**31 <= 9 * (MAX_TRIANGLES + 1)
+    big, disk = build_unit_square_mesh(4), build_unit_disk_mesh(1)
+    monkeypatch.setattr(hbflow.mesh, "MAX_TRIANGLES", 24)
+    assert build_unit_square_mesh(3).num_triangles == 18
+    with pytest.raises(MeshError, match=r"^n must be <= 3, got 4: a mesh has at most 24 "):
+        build_unit_square_mesh(4)
+    assert build_unit_disk_mesh(1).num_triangles == 24
+    with pytest.raises(MeshError, match=r"^level must be <= 1, got 2: a mesh has at most 24 "):
+        build_unit_disk_mesh(2)
+    with pytest.raises(MeshError, match=r"^a mesh has at most 24 triangles, got 32$"):
+        Mesh(big.vertices, big.triangles)
+    assert Mesh(disk.vertices, disk.triangles).num_triangles == 24
+
+
+SIZE_LIMIT_CHECK = """
+from hbflow.mesh import MeshError, build_unit_disk_mesh, build_unit_square_mesh
+for build, size in ((build_unit_square_mesh, 10923), (build_unit_disk_mesh, 13),
+                    (build_unit_disk_mesh, 10**20)):
+    try:
+        build(size)
+    except MeshError as exc:
+        print(exc)
+"""
+
+
+def _limited_address_space():
+    # about 2 GiB: a builder that allocates past the limit fails with
+    # MemoryError, where it would otherwise run until the OS kills it
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def _run_limited(argv, tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    return subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                          cwd=tmp_path, preexec_fn=_limited_address_space)
+
+
+def test_builders_reject_a_mesh_past_the_limit_before_allocating(tmp_path):
+    proc = _run_limited([sys.executable, "-c", SIZE_LIMIT_CHECK], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    limit = f"a mesh has at most {MAX_TRIANGLES} triangles"
+    assert proc.stdout.splitlines() == [
+        f"n must be <= 10922, got 10923: {limit}",
+        f"level must be <= 12, got 13: {limit}",
+        f"level must be <= 12, got {10**20}: {limit}",
+    ]
+
+
+def test_cli_rejects_a_disk_level_past_the_limit(tmp_path):
+    argv = [sys.executable, "-m", "hbflow.cli", "run", "--domain", "disk",
+            "--level", "100000000000000000000", "--p", "1.5", "--out", str(tmp_path / "out")]
+    proc = _run_limited(argv, tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"configuration error: level must be <= 12, got {10**20}: "
+                           f"a mesh has at most {MAX_TRIANGLES} triangles\n")
+    assert not (tmp_path / "out").exists()

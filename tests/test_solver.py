@@ -1,5 +1,8 @@
 import dataclasses
+import gc
+import importlib.util
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hbflow.assembly import (
 )
 from hbflow.huber import HuberParams, dual_field, evaluate_gradient, evaluate_objective
 from hbflow.linesearch import LineSearchResult
-from hbflow.mesh import build_unit_disk_mesh, build_unit_square_mesh, make_mesh
+from hbflow.mesh import Mesh, build_unit_disk_mesh, build_unit_square_mesh
 from hbflow.solver import (
     LinearConfig,
     SolverConfig,
@@ -401,7 +404,7 @@ def test_a_solve_on_one_mesh_leaves_another_mesh_alone(first):
     # and different Laplacians; each solve must use its own mesh's factor
     def meshes():
         square = build_unit_square_mesh(4)
-        return [square, make_mesh(square.vertices * [2.0, 1.0], square.triangles)]
+        return [square, Mesh(square.vertices * [2.0, 1.0], square.triangles)]
 
     cfg = SolverConfig(p=4.0, g=0.2, gamma=10.0, max_iters=3)
     shared = meshes()
@@ -459,13 +462,16 @@ def test_thinning_solve_drops_the_laplacian_after_the_start(splu_calls, monkeypa
     assert searches == [2, 3, 4, 5]     # each search runs after its own P_k's assembly
     assert len(splu_calls) == (1 + out.iterations if method == "direct" else 0)
     # neither the Laplacian nor its factor outlives the Poisson start
-    assert not hasattr(mesh, "_hbflow_laplacian")
+    assert "_laplacian" not in vars(mesh)
     assert all(ref() is None for ref in assembled)
-    # p >= 2 keeps it on the mesh for the directions
+    # p >= 2 keeps it in the mesh's memo for the directions
     monkeypatch.setattr(hbflow.solver, "backtracking_search", real_search)
     solve(mesh, dataclasses.replace(cfg, p=4.0, max_iters=1), 1.0)
-    assert hasattr(mesh, "_hbflow_laplacian")
-    assert assembled[-1]() is mesh._hbflow_laplacian[0]
+    kept = mesh._memo("_laplacian", lambda: pytest.fail("the memo lost the Laplacian"))
+    assert assembled[-1]() is kept[0]
+    del kept, mesh
+    gc.collect()
+    assert assembled[-1]() is None      # and drops it with the mesh
 
 
 @pytest.mark.parametrize("p, method", [(1.5, "direct"), (4.0, "direct"), (4.0, "pcg")])
@@ -571,7 +577,7 @@ def test_failed_search_leaves_the_dual_of_the_returned_iterate(square16, monkeyp
 
 def test_wp_seminorm_single_triangle():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    mesh = make_mesh(verts, np.array([[0, 1, 2]]))
+    mesh = Mesh(verts, np.array([[0, 1, 2]]))
     gradient = oracles.full_gradient(mesh)
     u = np.array([0.0, 1.0, 0.0])  # grad = (1, 0), xi = 1 on area 1/2
     xi = gradient_magnitudes(gradient, u)
@@ -580,3 +586,29 @@ def test_wp_seminorm_single_triangle():
     assert wp_seminorm(mesh, gradient_magnitudes(gradient, 2.0 * u), 3.0) == pytest.approx(
         2.0 * 0.5 ** (1 / 3), rel=1e-14
     )
+
+
+def test_benchmark_trace_sees_every_solver_hook(monkeypatch):
+    # the benchmark's per-layer metrics wrap names in hbflow.solver's namespace:
+    # a call that routes around one would read 0 while the benchmark still runs
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    # one span name per hook, so two hooks of one layer are told apart
+    hooks = [(module, attr, f"{module}.{attr}", counts)
+             for module, attr, _, counts in tracing.HOOKS]
+    monkeypatch.setattr(tracing, "HOOKS", hooks)
+    solver_hooks = {name for module, _, name, _ in hooks if module == "hbflow.solver"}
+    for p, method in ((1.5, "pcg"), (4.0, "direct")):
+        cfg = SolverConfig(p=p, g=0.2, gamma=100.0, max_iters=3,
+                           linear=LinearConfig(method=method))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            hbflow.solver.solve(build_unit_square_mesh(4), cfg, 3.0)
+        finally:
+            tracer.uninstall()
+        assert hbflow.solver.solve is solve
+        assert tracer.missing == []
+        assert solver_hooks <= {span["name"] for span in tracer.spans}, p
