@@ -4,7 +4,8 @@ The discrete gradient G maps interior vertex coefficients to the constant
 per-triangle gradient of the P1 interpolant: rows 0..nt-1 hold the first
 component, rows nt..2nt-1 the second. Dirichlet conditions are baked in by
 indexing columns over interior vertices only, so boundary values are
-identically zero everywhere downstream.
+identically zero everywhere downstream. G stores no zero: a basis gradient
+component that is exactly zero, as at every right angle, is left out.
 
 All stiffness matrices here share one structure, differing only in a
 nonnegative per-triangle weight w, which the caller supplies (the weights
@@ -16,16 +17,23 @@ which is G^T D G, D = diag(w * area, w * area). G is built once per mesh,
 with read-only arrays, and the plan these entries come from is built on
 the first stiffness call; the mesh's memo keeps both, so both live as long
 as the mesh. The evaluators take the mesh alone, so none can meet another
-mesh's G. The plan holds the G
-values of each entry's terms as a constant sparse term matrix, so the
-entries are two runs of scipy's CSR matrix-vector kernel, on the x terms and then the y terms,
-into one zeroed array. The kernel starts each row from the array's value
-and adds each term as one product, so every entry is summed in the order
-and rounding of scipy's ``G.T @ (D @ G)``, bit for bit. The plan gives the
-entries three ways: ``values`` in CSR order with exact zeros kept,
-``assemble`` as the CSR matrix with those zeros dropped, and ``apply`` as
-the product A u, which builds no matrix and equals ``assemble(...) @ u``
-bit for bit (:func:`apply_weighted_stiffness`, the objective's gradient).
+mesh's G. The plan holds the G values of each entry's terms as two constant
+sparse term matrices, of the x rows and of the y rows of G, so the entries
+are two runs of scipy's CSR matrix-vector kernel, on the x terms and then
+the y terms, into one zeroed array. The kernel starts each row from the
+array's value and adds each term as one product, so every entry is summed
+in the order and rounding of scipy's ``G.T @ (D @ G)``, bit for bit.
+
+Leaving zeros out changes no bit. Under round-to-nearest a sum that starts
+at +0.0 never becomes -0.0, so a product +-0.0 of finite factors leaves it
+unchanged: a term with a factor that G does not store, an entry with no
+term, and a zero of G in ``G @ v`` add nothing. Every result here, and every
+``G @ v`` for finite v, has the bits it would have with G's zeros stored
+(``tests/oracles.py`` keeps that G and its plan). The plan gives the
+entries three ways: ``values`` in CSR order, ``assemble`` as the CSR matrix
+with its exact zeros dropped, and ``apply`` as the product A u, which
+builds no matrix and equals ``assemble(...) @ u`` bit for bit
+(:func:`apply_weighted_stiffness`, the objective's gradient).
 """
 
 from __future__ import annotations
@@ -45,8 +53,10 @@ def build_discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     """Sparse matrix taking interior vertex coefficients to per-triangle gradients.
 
     Columns run over interior vertices only, so homogeneous Dirichlet data
-    is baked in. G is built on the first call for a mesh and kept in its
-    memo: every later call returns the same matrix.
+    is baked in. No zero is stored: a basis gradient component that is
+    exactly zero is left out, so rows t and t + nt may hold different
+    columns. G is built on the first call for a mesh and kept in its memo:
+    every later call returns the same matrix.
 
     Returns
     -------
@@ -76,13 +86,17 @@ def _discrete_gradient(mesh: Mesh) -> sp.csr_matrix:
     vals = np.concatenate([gx, gy])
     G = sp.coo_matrix((vals, (rows, cols2)), shape=(2 * nt, ncols)).tocsr()
     G.sort_indices()
+    G.eliminate_zeros()
     for arr in (G.data, G.indices, G.indptr):     # as every Mesh array: the plan reads G
         arr.setflags(write=False)
     return G
 
 
 def gradient_magnitudes(gradient: sp.spmatrix, u: np.ndarray) -> np.ndarray:
-    """Per-triangle |grad u^h|: xi_k = |(Gu)_k, (Gu)_{k+nt}|."""
+    """Per-triangle |grad u^h|: xi_k = |(Gu)_k, (Gu)_{k+nt}|.
+
+    For finite u it has the bits it would have with G's zeros stored.
+    """
     g = gradient @ u
     nt = g.shape[0] // 2
     return np.hypot(g[:nt], g[nt:])
@@ -123,62 +137,115 @@ def _scaled_weights(mesh: Mesh, weights: np.ndarray) -> np.ndarray:
 
 
 class _StiffnessPattern:
-    """Term matrix S of G^T D G for one discrete gradient G.
+    """Term matrices of G^T D G for one discrete gradient G.
 
     Entry (i, j) sums G[k, i] * (d[k] * G[k, j]) from zero over the rows k
-    of G ascending, as scipy's product does. Row r of S holds the terms of
-    the r-th entry in CSR order, triangles ascending. A term's data is
-    G[k, i], ``term_data[0]`` for the x row k and ``term_data[1]`` for the
-    y row; its column, ``term_indices``, is the slot of G[k, j] in G's x
-    data, which the y data repeats. ``lengths`` counts each triangle's slots.
-    G is a CSR matrix, such as :func:`build_discrete_gradient`'s, whose rows
-    t and t + nt hold the same at most 3 columns; the plan reads its values
-    as ``gradient_data``, so G must not change while the plan lives.
+    of G ascending, as scipy's product does, but only over the rows that
+    store both values: a term left out would add an exact zero. ``terms``
+    holds two term matrices as CSR (indptr, indices, data) triples, of the
+    x rows k < nt and of the y rows. Row r of each holds the terms of the
+    r-th entry, triangles ascending: a term's data is G[k, i], and its
+    column is the slot of G[k, j] in G's ``data``. An entry with no term is
+    not in the pattern. G is a CSR matrix, such as
+    :func:`build_discrete_gradient`'s, whose rows t and t + nt together
+    hold at most 3 columns, none twice. The plan keeps G and reads its
+    values, so G must not change while the plan lives.
     """
 
     def __init__(self, gradient: sp.csr_matrix):
         n, nt = gradient.shape[1], gradient.shape[0] // 2
-        indptr, indices, self.nx = gradient.indptr, gradient.indices, int(gradient.indptr[nt])
-        self.lengths = np.diff(indptr[:nt + 1])
+        indptr, indices, nnz = gradient.indptr, gradient.indices, gradient.nnz
+        nx = int(indptr[nt])
+        self.gradient = gradient
 
-        # every term, triangles ascending: the x slots a, b of G[k, i], G[k, j]
-        valid = np.arange(3) < self.lengths[:, None]
-        valid = valid[:, :, None] & valid[:, None, :]                   # (nt, 3, 3)
-        t, ab = np.divmod(np.flatnonzero(valid).astype(np.int32), 9)
-        a, b = np.divmod(ab, 3)
-        a += indptr[t]
-        b += indptr[t]
-        del valid, t, ab
-        keys = indices[a].astype(np.int32 if n * n < 2**31 else np.int64) * n + indices[b]
+        # each triangle's columns, the union of its two rows: the sum of the x
+        # rows holding slot + 1 and the y rows holding (slot + 1) * (nnz + 1)
+        slot = np.arange(1, nnz + 1, dtype=np.int64)
+        union = (sp.csr_matrix((slot[:nx], indices[:nx], indptr[:nt + 1]), shape=(nt, n))
+                 + sp.csr_matrix((slot[nx:] * (nnz + 1), indices[nx:], indptr[nt:] - nx),
+                                 shape=(nt, n)))
+        del slot
+        # as (nt, 3) arrays, padded, at position 3 t + a: the columns, and each
+        # half's slots, -1 where that half stores no value
+        k = np.arange(3)
+        at = union.indptr[:-1, None] + k
+        at[k >= np.diff(union.indptr)[:, None]] = union.nnz
+        cols = np.append(union.indices, 0)[at].ravel()
+        halves = [(half - 1).astype(np.int32).ravel()
+                  for half in np.divmod(np.append(union.data, 0)[at], nnz + 1)[::-1]]
+        del union, at
+
+        # every pair of a triangle's columns a, b that has a term, triangles
+        # ascending, as 9 t + 3 a + b; bit 0 of its kind is set if both its
+        # values are stored in the x half, bit 1 if in the y half
+        kinds = np.zeros((nt, 3, 3), dtype=np.int8)
+        for bit, half in enumerate(halves):
+            flags = (half >= 0).reshape(nt, 3)
+            kinds |= (flags[:, :, None] & flags[:, None, :]).view(np.int8) << bit
+        pair = np.flatnonzero(kinds).astype(np.int32)
+        kind = kinds.ravel()[pair]
+        del kinds, flags
+        # int32 index arrays are gathered by indexing, which converts them in
+        # chunks, and not by np.take, which makes a full intp copy of them
+        i, j = _pair_positions(pair)
+        keys = cols[i].astype(np.int32 if n * n < 2**31 else np.int64, copy=False)
+        del i
+        keys *= n
+        keys += cols[j]
+        del j, cols
         order = np.argsort(keys, kind="stable")    # triangles stay ascending per entry
-        self.term_indices = b[order]
-        del b
-        a = a[order]
         keys = keys[order]
+        pair = pair[order]
+        kind = kind[order]
         del order
         first = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]]).astype(np.int32)
-        self.term_indptr = np.append(first, np.int32(keys.size))
         keys = keys[first]
         self.shape = (n, n)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-        self.gradient_data = gradient.data.reshape(2, -1)       # G's x and y values
-        self.term_data = tuple(half[a] for half in self.gradient_data)
+        del keys
+
+        # Each half's pairs and their count per entry; then, half by half, the
+        # bigger y half first, its term data G[k, i] and then the slots of
+        # G[k, j]. Each array is freed once read, to keep the build's peak low.
+        counted = []
+        for bit in range(2):
+            term = (kind & (1 << bit)).astype(bool)
+            counts = np.add.reduceat(term.view(np.int8), first, dtype=np.int32)
+            counted.append((np.r_[0, np.cumsum(counts)].astype(np.int32), pair[term]))
+        del pair, kind, first, term, counts
+        terms = [None, None]
+        for bit in (1, 0):
+            term_indptr, pair = counted.pop()
+            i, j = _pair_positions(pair)
+            del pair
+            i = halves[bit][i]
+            data = gradient.data[i]
+            del i
+            terms[bit] = (term_indptr, halves[bit][j], data)
+            del j
+        self.terms = tuple(terms)
 
     def values(self, d: np.ndarray) -> np.ndarray:
-        """Entries of G^T diag(d, d) G in this plan's CSR order, exact zeros kept.
+        """Entries of G^T diag(d, d) G in this plan's CSR order.
 
-        Each is 0 + x terms + y terms: S times d[k] * G[k, j], half by half.
+        Each is 0 + x terms + y terms: each term matrix times d[k] * G[k, j].
+        A term left out has a factor G does not store, so it would add an
+        exact zero, which leaves a sum that starts at +0.0 unchanged: each
+        entry has the bits of scipy's product on G with its zeros stored.
         """
-        nt = self.lengths.size
-        # the kernel reads its index and vector arguments unchecked
-        if np.shape(d) != (nt,):
-            raise AssemblyError(f"d shape {np.shape(d)} does not match {nt} triangles")
-        dg = self.gradient_data * np.repeat(d, self.lengths)    # d[k] * G[k, j]
+        G = self.gradient
+        nt = G.shape[0] // 2
+        d = np.ascontiguousarray(d, dtype=np.float64)
+        # the kernels read their index and vector arguments unchecked
+        if d.shape != (nt,):
+            raise AssemblyError(f"d shape {d.shape} does not match {nt} triangles")
+        dg = G.data.copy()       # d[k] * G[k, j]: each row's stored values scaled in place
+        for rows in (G.indptr[:nt + 1], G.indptr[nt:]):     # the x rows, then the y rows
+            _sparsetools.csr_scale_rows(nt, G.shape[1], rows, G.indices, dg, d)
         out = np.zeros(self.indices.size)
-        for terms, g in zip(self.term_data, dg):
-            _sparsetools.csr_matvec(out.size, self.nx, self.term_indptr, self.term_indices,
-                                    terms, g, out)
+        for indptr, indices, data in self.terms:
+            _sparsetools.csr_matvec(out.size, dg.size, indptr, indices, data, dg, out)
         return out
 
     def assemble(self, d: np.ndarray) -> sp.csr_matrix:
@@ -203,6 +270,17 @@ class _StiffnessPattern:
         out = np.zeros(n)
         _sparsetools.csr_matvec(n, n, self.indptr, self.indices, self.values(d), u, out)
         return out
+
+
+def _pair_positions(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions 3 t + a and 3 t + b of pairs 9 t + 3 a + b, as two new
+    arrays and no other: 3 t + b = pair - 3 (i - t) is formed in place."""
+    i = pair // 3
+    j = i // 3
+    j -= i
+    j *= 3
+    j += pair
+    return i, j
 
 
 def _stiffness_pattern(mesh: Mesh) -> _StiffnessPattern:

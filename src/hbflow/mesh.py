@@ -26,7 +26,8 @@ class MeshError(ValueError):
     """Invalid construction arguments or a broken triangulation."""
 
 
-# A stiffness plan (``hbflow.assembly``) indexes the 9 terms of each triangle
+# A stiffness plan (``hbflow.assembly``) indexes the at most 9 vertex pairs of
+# each triangle, and the at most 9 nt terms of each of its two term matrices,
 # with int32, so 9 nt < 2**31: a bigger mesh would get a silently wrong plan.
 MAX_TRIANGLES = (2**31 - 1) // 9
 
@@ -46,7 +47,8 @@ class Mesh:
     be shared freely between solver runs, which share what its private memo
     keeps for its life: the discrete gradient G, the stiffness plan
     (``hbflow.assembly``), and, for p >= 2, the Laplacian and its LU factor
-    (``hbflow.solver``).
+    (``hbflow.solver``). A copy or a pickled mesh is made again by the
+    constructor from the vertices and triangles, with an empty memo.
 
     Attributes
     ----------
@@ -184,6 +186,12 @@ class Mesh:
     @property
     def num_interior(self) -> int:
         return int(self.interior_indices.size)
+
+    def __reduce__(self):
+        # a copy or an unpickled mesh is made by the one constructor, so it is
+        # checked and read-only, and its memo, which may hold an LU factor that
+        # cannot be pickled, starts empty
+        return (Mesh, (self.vertices, self.triangles))
 
     def _memo(self, name: str, build):
         """``build()`` on the first call for ``name``, and that same value on

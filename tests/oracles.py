@@ -13,12 +13,14 @@ scalar equation per radius and 1-D quadrature, and a bracket around the
 unregularized discrete minimum from Fenchel duality and one Laplacian
 solve.
 
-Five oracles keep an earlier implementation instead, for bit-for-bit and
+Some oracles keep an earlier implementation instead, for bit-for-bit and
 byte-for-byte comparison: the mesh edge table through ``np.unique`` and the
 mesh geometry from per-corner point arrays, the weighted stiffness as
-scipy's sparse product G^T D G, the VTK writer that joins the whole file in
-memory, the Jacobi-PCG solve through scipy's ``cg``, and the line search's
-two model steps with the three helpers they were split into.
+scipy's sparse product G^T D G, the discrete gradient with its exact zeros
+stored and the stiffness plan that sums its zero terms, the VTK writer that
+joins the whole file in memory, the Jacobi-PCG solve through scipy's
+``cg``, and the line search's two model steps with the three helpers they
+were split into.
 """
 
 import math
@@ -26,6 +28,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse import _sparsetools
 
 from hbflow.linalg import LinearSolveError, SpdSolveReport
 from hbflow.linesearch import LineSearchError
@@ -395,6 +398,75 @@ def weighted_stiffness(mesh, weights, gradient):
     A.eliminate_zeros()
     A.sort_indices()
     return A
+
+
+def discrete_gradient(mesh):
+    """The interior discrete gradient G with its exact zeros stored: rows t
+    and t + nt hold the same columns, every interior vertex of triangle t."""
+    nt = mesh.num_triangles
+    tri_cols = mesh.dof_index[mesh.triangles]
+    t_idx, local = np.nonzero(tri_cols >= 0)
+    cols = tri_cols[t_idx, local]
+    gx = mesh.basis_gradients[t_idx, local, 0]
+    gy = mesh.basis_gradients[t_idx, local, 1]
+    G = sp.coo_matrix((np.concatenate([gx, gy]),
+                       (np.concatenate([t_idx, t_idx + nt]), np.concatenate([cols, cols]))),
+                      shape=(2 * nt, mesh.num_interior)).tocsr()
+    G.sort_indices()
+    return G
+
+
+class StiffnessPattern:
+    """The stiffness plan that sums every term of G^T D G, exact zeros too:
+    one term matrix whose row r holds the x and the y values G[k, i] of
+    entry r's terms, triangles ascending, and whose columns are the x slots
+    of G[k, j]. For a G whose rows t and t + nt hold the same at most 3
+    columns, such as ``discrete_gradient``'s and ``full_gradient``'s."""
+
+    def __init__(self, gradient):
+        n, nt = gradient.shape[1], gradient.shape[0] // 2
+        indptr, indices, self.nx = gradient.indptr, gradient.indices, int(gradient.indptr[nt])
+        self.lengths = np.diff(indptr[:nt + 1])
+        valid = np.arange(3) < self.lengths[:, None]
+        valid = valid[:, :, None] & valid[:, None, :]
+        t, ab = np.divmod(np.flatnonzero(valid), 9)
+        a, b = np.divmod(ab, 3)
+        a += indptr[t]
+        b += indptr[t]
+        keys = indices[a].astype(np.int64) * n + indices[b]
+        order = np.argsort(keys, kind="stable")
+        self.term_indices = b[order].astype(np.int32)
+        a, keys = a[order], keys[order]
+        first = np.flatnonzero(np.r_[keys.size > 0, keys[1:] != keys[:-1]])
+        self.term_indptr = np.append(first, keys.size).astype(np.int32)
+        keys = keys[first]
+        self.shape = (n, n)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.gradient_data = gradient.data.reshape(2, -1)
+        self.term_data = tuple(half[a] for half in self.gradient_data)
+
+    def values(self, d):
+        """Every entry, exact zeros kept: 0 + x terms + y terms."""
+        dg = self.gradient_data * np.repeat(d, self.lengths)
+        out = np.zeros(self.indices.size)
+        for terms, g in zip(self.term_data, dg):
+            _sparsetools.csr_matvec(out.size, self.nx, self.term_indptr, self.term_indices,
+                                    terms, g, out)
+        return out
+
+    def assemble(self, d):
+        A = sp.csr_matrix((self.values(d), self.indices.copy(), self.indptr.copy()),
+                          shape=self.shape)
+        A.eliminate_zeros()
+        return A
+
+    def apply(self, d, u):
+        """scipy's CSR kernel on every entry, exact zeros too."""
+        out = np.zeros(self.shape[0])
+        _sparsetools.csr_matvec(out.size, out.size, self.indptr, self.indices, self.values(d),
+                                np.ascontiguousarray(u, dtype=np.float64), out)
+        return out
 
 
 def scipy_jacobi_pcg(A, b, tol=1e-10):

@@ -213,6 +213,70 @@ def test_stiffness_bits_equal_the_sparse_product(mesh, rng):
             assert got.has_sorted_indices
 
 
+def _without_zeros(g):
+    g = g.copy()
+    g.eliminate_zeros()
+    return g
+
+
+@pytest.mark.parametrize("mesh", [
+    *[pytest.param(("disk", level), id=f"disk{level}") for level in range(6)],
+    *[pytest.param(("square", n), id=f"square{n}") for n in (1, 2, 3, 8, 16, 50, 101)],
+    pytest.param(("triangle", 0), id="triangle"),
+    pytest.param(("wide", 50_000), id="wide-keys"),
+])
+def test_skipping_stored_zeros_keeps_every_bit(mesh, rng):
+    # against G with its exact zeros stored and the plan that sums their terms
+    kind, size = mesh
+    m = {"disk": build_unit_disk_mesh, "square": build_unit_square_mesh,
+         "wide": lambda _: _two_triangles()}.get(kind, lambda _: _single_triangle())(size)
+    nt = m.num_triangles
+    spread = 10.0 ** rng.uniform(-8.0, 8.0, nt)
+    spread[rng.random(nt) < 0.3] = 0.0
+    spread[0] = 0.0
+    weights = [np.ones(nt), spread, np.zeros(nt)]
+    own = m.num_interior > 0 and kind != "wide"     # the mesh's G and plan, and its evaluators
+    if own:
+        summed = oracles.discrete_gradient(m)
+        G = build_discrete_gradient(m)
+        assert _bits_equal(G, _without_zeros(summed))
+        plan = assembly._stiffness_pattern(m)
+    else:       # the plan alone, on the G over all vertices
+        summed = oracles.full_gradient(m)
+        summed = _wide(summed, size) if kind == "wide" else summed
+        G = _without_zeros(summed)
+        plan = assembly._StiffnessPattern(G)
+    reference = oracles.StiffnessPattern(summed)
+    u = rng.standard_normal(G.shape[1])
+    u[rng.random(u.size) < 0.2] = 0.0
+    for w in weights:
+        d = w * m.areas
+        assert _bits_equal(plan.assemble(d), reference.assemble(d))
+        want = reference.apply(d, u)
+        assert np.array_equal(plan.apply(d, u).view(np.int64), want.view(np.int64))
+        if own:
+            assert _bits_equal(assemble_weighted_stiffness(m, w), reference.assemble(d))
+            got = assembly.apply_weighted_stiffness(m, w, u)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    if not own:
+        return
+    # zero on the left half, so the p-Laplacian weight has zeros there
+    x = m.vertices[m.interior_indices, 0]
+    u[x < 0.5 * (m.vertices[:, 0].min() + m.vertices[:, 0].max())] = 0.0
+    xi = gradient_magnitudes(G, u)
+    assert np.array_equal(xi.view(np.int64), gradient_magnitudes(summed, u).view(np.int64))
+    params, load = HuberParams(p=1.5, g=0.2, gamma=50.0), assemble_load_vector(m, 1.0)
+    want = (reference.apply(params.plaplacian_weight(xi) * m.areas, u)
+            + reference.apply(params.huber_weight(xi) * m.areas, u) - load)
+    got = evaluate_gradient(m, u, params, load, xi=xi)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    gx, gy = (summed @ u).reshape(2, -1)
+    scale = params.huber_weight(xi)
+    dual = dual_field(m, u, params, xi=xi)
+    assert np.array_equal(dual.w.view(np.int64),
+                          np.column_stack([scale * gx, scale * gy]).view(np.int64))
+
+
 @pytest.mark.parametrize("mesh, p, g, gamma", [
     pytest.param("disk3", 1.5, 0.2, 50.0, id="1.5"),
     pytest.param("disk3", 4.0, 0.2, 50.0, id="4.0"),
@@ -233,8 +297,8 @@ def test_gradient_bits_equal_the_sparse_product(request, rng, mesh, p, g, gamma)
     xi = gradient_magnitudes(gradient, u)
     assert np.any(params.plaplacian_weight(xi) == 0.0)
     if mesh.startswith("square"):   # the Huber weight is positive: zeros from geometry
-        plan = assembly._stiffness_pattern(m)
-        assert np.any(plan.values(params.huber_weight(xi) * m.areas) == 0.0)
+        summed = oracles.StiffnessPattern(oracles.discrete_gradient(m))
+        assert np.any(summed.values(params.huber_weight(xi) * m.areas) == 0.0)
     a_u = oracles.weighted_stiffness(m, params.plaplacian_weight(xi), gradient)
     a_max = oracles.weighted_stiffness(m, params.huber_weight(xi), gradient)
     want = a_u @ u + a_max @ u - load
@@ -279,16 +343,38 @@ def test_plan_rejects_a_wrong_d_or_u(square4):
 
 def test_plan_keeps_int32_indices_and_at_most_28_bytes_per_term(square16):
     plan = assembly._stiffness_pattern(square16)
-    terms = plan.term_indices.size
+    G = build_discrete_gradient(square16)
+    terms = sum(term_indices.size for _, term_indices, _ in plan.terms)
     assert terms < 2**31
-    for name in ("indices", "indptr", "term_indices", "term_indptr"):
+    for name in ("indices", "indptr"):
         assert getattr(plan, name).dtype == np.int32, name
-    assert all(x.flags.c_contiguous for x in plan.term_data)   # else each call copies them
-    # gradient_data is G's own values, not a copy: G holds them with or without a plan
-    assert np.shares_memory(plan.gradient_data, build_discrete_gradient(square16).data)
-    resident = sum(x.nbytes for x in (*vars(plan).values(), *plan.term_data)
-                   if isinstance(x, np.ndarray) and x is not plan.gradient_data)
+    for term_indptr, term_indices, term_data in plan.terms:
+        assert term_indptr.dtype == term_indices.dtype == np.int32
+        assert term_data.flags.c_contiguous     # else each call copies it
+    # the plan reads G's own values, not a copy: G holds them with or without a plan
+    assert plan.gradient is G
+    arrays = (plan.indices, plan.indptr, *(array for term in plan.terms for array in term))
+    resident = sum(array.nbytes for array in arrays)
     assert resident <= 28 * terms
+
+
+def test_plan_on_the_square_skips_the_zeros_of_right_angles(square16):
+    # every triangle has a right angle, so each basis gradient has a zero component
+    G, nt = build_discrete_gradient(square16), square16.num_triangles
+    assert not np.any(G.data == 0.0)
+    plan = assembly._stiffness_pattern(square16)
+    inner = np.all(square16.dof_index[square16.triangles] >= 0, axis=1)
+    for half, (_, term_indices, term_data) in enumerate(plan.terms):
+        # each term's column is a slot of G; its row is the term's row of G
+        rows = np.searchsorted(G.indptr, term_indices, side="right") - 1
+        assert np.all((rows >= half * nt) & (rows < (half + 1) * nt))
+        per_triangle = np.bincount(rows - half * nt, minlength=nt)
+        # two stored values per row of an inner triangle: 2 x 2 terms
+        assert np.all(per_triangle[inner] == 4)
+        assert not np.any(term_data == 0.0)
+    laplacian = assemble_weighted_stiffness(square16, np.ones(nt))
+    assert np.array_equal(plan.indptr, laplacian.indptr)
+    assert np.array_equal(plan.indices, laplacian.indices)
 
 
 def test_gradient_assembles_no_matrix(square16, rng, monkeypatch):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import os
+import pickle
 import resource
 import subprocess
 import sys
@@ -341,6 +343,24 @@ def test_replace_builds_a_fresh_mesh():
     assert objective != solve(mesh, THICKENING, 3.0).final_objective
     with pytest.raises(ValueError):     # derived fields are not inputs
         dataclasses.replace(mesh, areas=mesh.areas * 4)
+
+
+def test_a_solved_mesh_copies_and_pickles_through_its_constructor():
+    mesh = build_unit_square_mesh(4)
+    objective = solve(mesh, THICKENING, 3.0).final_objective   # the memo holds an LU factor
+    for copied in (copy.deepcopy(mesh), pickle.loads(pickle.dumps(mesh))):
+        assert type(copied) is Mesh and copied is not mesh
+        for name in FIELDS:
+            got, want = getattr(copied, name), getattr(mesh, name)
+            if name == "h":
+                assert repr(got) == repr(want)
+                continue
+            assert got.dtype == want.dtype and np.array_equal(got.view(np.uint8),
+                                                              want.view(np.uint8))
+            assert not got.flags.writeable and not np.shares_memory(got, want)
+        # nothing but the fields: the memo and the cached properties start empty
+        assert set(vars(copied)) == {field.name for field in dataclasses.fields(Mesh)}
+        assert repr(solve(copied, THICKENING, 3.0).final_objective) == repr(objective)
 
 
 def test_mesh_takes_only_vertices_and_triangles():
